@@ -23,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/repro/snntest/internal/autograd"
 	"github.com/repro/snntest/internal/baseline"
 	"github.com/repro/snntest/internal/core"
 	"github.com/repro/snntest/internal/experiments"
@@ -306,16 +307,6 @@ func BenchmarkAblationDirectFC(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Substrate micro-benchmarks
 
-func BenchmarkForwardFast(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	net := must(snn.BuildNMNIST(rng, snn.ScaleTiny))
-	stim := tensor.RandBernoulli(rng, 0.3, append([]int{50}, net.InShape...)...)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Run(stim)
-	}
-}
-
 // forwardBenchRow is one fixture's entry in BENCH_forward.json.
 type forwardBenchRow struct {
 	Benchmark         string  `json:"benchmark"`
@@ -445,14 +436,28 @@ func BenchmarkForwardFused(b *testing.B) {
 	})
 }
 
+// BenchmarkForwardGraphBPTT times one optimization step of the
+// generator on the tiny NMNIST net: one forward graph over a 50-step
+// input plus one L1 backward through it.
 func BenchmarkForwardGraphBPTT(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	net := must(snn.BuildNMNIST(rng, snn.ScaleTiny))
-	cfg := core.TestConfig()
+	stim := tensor.RandBernoulli(rng, 0.3, append([]int{50}, net.InShape...)...)
+	in := make([]*autograd.Node, stim.Dim(0))
+	frame := net.InputLen()
+	for t := range in {
+		x := tensor.New(net.InShape...)
+		copy(x.Data(), stim.RawRange(t*frame, frame))
+		in[t] = autograd.Leaf(x)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// One full optimization step: forward graph + one loss backward.
-		core.CalibrateTInMin(net, &cfg, rand.New(rand.NewSource(int64(i))))
+		for _, x := range in {
+			x.ZeroGrad()
+		}
+		if err := autograd.Backward(core.L1(net.RunGraphFused(in))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

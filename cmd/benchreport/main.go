@@ -8,7 +8,7 @@
 //	            [-bench nmnist,ibm-gesture,shd] [-v|-quiet] [-out report.txt]
 //	            [-obs] [-manifest BENCH_manifest.json]
 //	            [-trajectory BENCH_trajectory.json] [-trace out.jsonl]
-//	            [-serve :9090] [-profile-dir DIR] [-cpuprofile f] [-memprofile f]
+//	            [-serve :9090] [-profile-dir DIR]
 //	            [-check] [-check-window N] [-check-min N] [-check-tol F]
 //	            [-profile cpu.pprof] [-profile-out BENCH_profile.json]
 //	            [-profile-min-labeled F] [-profile-kernel-min F]
@@ -20,8 +20,8 @@
 // so benchmark ratios cannot silently decay across revisions.
 //
 // -profile analyzes a pprof CPU profile captured with phase labelling
-// on (any -profile-dir/-cpuprofile run, or /debug/pprof/profile): the
-// samples are folded by their `phase` label into a per-phase flat/cum
+// on (any -profile-dir run, or /debug/pprof/profile): the samples are
+// folded by their `phase` label into a per-phase flat/cum
 // CPU table, written both to stdout and to the -profile-out JSON
 // artifact. The optional gates fail the run when too few samples carry
 // a phase label (-profile-min-labeled) or when the fused-kernel phases

@@ -9,7 +9,7 @@
 //	         [-weights file.gob] [-extended] [-workers N] [-seed N] [-full]
 //	         [-v|-quiet] [-trace out.jsonl] [-serve :9090]
 //	         [-ledger dir] [-stall-timeout D]
-//	         [-profile-dir dir] [-cpuprofile f] [-memprofile f]
+//	         [-profile-dir dir]
 //
 // By default the campaign is incremental: each faulty simulation replays
 // the golden spike trace up to the fault's layer and re-simulates only

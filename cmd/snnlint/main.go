@@ -18,7 +18,7 @@
 // pre-existing findings recorded with -write-baseline. See internal/lint
 // for the analyzers and README.md for how to add one. snnlint shares the
 // repo-wide observability flags (-v, -quiet, -trace, -serve,
-// -profile-dir, -cpuprofile, -memprofile) with the other cmds.
+// -profile-dir) with the other cmds.
 package main
 
 import (

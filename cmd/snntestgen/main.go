@@ -12,19 +12,19 @@
 //	           [-save-stimulus file.gob]
 //	           [-v|-quiet] [-trace out.jsonl] [-serve :9090]
 //	           [-ledger dir] [-stall-timeout D]
-//	           [-profile-dir dir] [-cpuprofile f] [-memprofile f]
+//	           [-profile-dir dir]
 //
-// -restarts K enables the deterministic multi-restart generation engine:
-// every iteration optimizes K independently seeded candidate chunks on a
-// worker pool (-workers bounds it) and keeps the best. Results depend
-// only on -seed, never on the worker count.
+// -restarts K sets the generation engine's restart count: every
+// iteration optimizes K independently seeded candidate chunks on a worker
+// pool (-workers bounds it) and keeps the best. Results depend only on
+// -seed, never on the worker count.
 //
 // -trace records the run's observability stream (span tree + counters) as
 // JSON lines and prints an end-of-run summary; -serve exposes the run
 // live over HTTP (/metrics, /runs, /debug/pprof); -v / -quiet tune the
 // stderr narration. -profile-dir writes phase-labelled
 // snntestgen.{cpu,heap}.pprof profiles (analyze with
-// `benchreport -profile`); -cpuprofile / -memprofile override the paths.
+// `benchreport -profile`).
 // -stall-timeout (with -serve and -ledger) dumps goroutine snapshots of
 // flatlined runs into the ledger directory.
 // SIGINT/SIGTERM cancel generation gracefully — the partial stimulus is
@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		epochs    = fs.Int("epochs", 4, "in-process training epochs when -weights is absent")
 		steps1    = fs.Int("steps1", 0, "stage-1 optimization steps (0 = scale default)")
 		maxIter   = fs.Int("max-iter", 0, "maximum generated chunks (0 = scale default)")
-		restarts  = fs.Int("restarts", 1, "optimizer restarts per chunk (>1 enables the parallel engine)")
+		restarts  = fs.Int("restarts", 1, "independently seeded optimizer restarts per chunk; the best one wins")
 		tinMin    = fs.Int("tinmin", 0, "pin the chunk duration T_in,min and skip calibration (0 = calibrate)")
 		stride    = fs.Int("stride", 1, "fault universe stride for verification")
 		workers   = fs.Int("workers", 0, "campaign and restart workers (0 = GOMAXPROCS)")

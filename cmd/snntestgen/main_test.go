@@ -45,11 +45,12 @@ func TestRunProfileDirDarkIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live CPU profile capture in -short mode")
 	}
-	// A slightly heavier budget than the smoke run so the profiled
-	// window collects enough CPU samples to judge attribution.
+	// A generation-heavy budget, so the profiled window collects ~90 CPU
+	// samples mostly inside the zero-alloc kernels. A training-heavy run
+	// of ~20 samples was decided by one or two GC-background samples.
 	args := []string{
-		"-bench", "nmnist", "-scale", "tiny", "-epochs", "2",
-		"-steps1", "16", "-max-iter", "2", "-restarts", "4",
+		"-bench", "nmnist", "-scale", "tiny", "-epochs", "1",
+		"-steps1", "100", "-max-iter", "4", "-restarts", "4",
 		"-tinmin", "6", "-stride", "50",
 	}
 	var dark, darkErr bytes.Buffer
@@ -78,11 +79,10 @@ func TestRunProfileDirDarkIdentity(t *testing.T) {
 	if r.TotalSamples < 20 {
 		t.Skipf("only %d CPU samples collected; too few to judge attribution", r.TotalSamples)
 	}
-	// This minimal-budget run is training-heavy, so GC background
-	// goroutines (the only unlabelled samples) hold a few percent; the
-	// full ≥0.95 acceptance gate runs in verify.sh on a realistic
-	// generate-dominated capture, where the zero-alloc kernels push the
-	// labelled fraction past 99%.
+	// GC background goroutines (the only unlabelled samples) still hold
+	// a few percent of this short run; the full ≥0.95 acceptance gate
+	// runs in verify.sh on a longer generate-dominated capture, where
+	// the zero-alloc kernels push the labelled fraction past 99%.
 	if r.LabeledFraction < 0.90 {
 		t.Errorf("phase-labelled fraction = %.3f, want >= 0.90; phases: %+v", r.LabeledFraction, r.Phases)
 	}

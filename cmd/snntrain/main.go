@@ -6,7 +6,7 @@
 //	snntrain -bench nmnist [-scale tiny|small|full] [-epochs N] [-lr F]
 //	         [-seed N] [-out weights.gob]
 //	         [-v|-quiet] [-trace out.jsonl] [-serve :9090]
-//	         [-profile-dir dir] [-cpuprofile f] [-memprofile f]
+//	         [-profile-dir dir]
 package main
 
 import (

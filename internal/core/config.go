@@ -2,38 +2,30 @@ package core
 
 import (
 	"io"
-	"runtime"
 	"time"
 
 	"github.com/repro/snntest/internal/train"
 )
 
-// Parallel configures the deterministic multi-restart generation engine.
-// The zero value keeps the original serial algorithm: one chunk optimizer
-// per outer iteration, fed directly by the master RNG stream, so existing
-// seeds keep reproducing their historical stimuli byte-for-byte.
-//
-// With Restarts > 1, every outer iteration launches Restarts independent
-// chunk optimizers whose RNGs are derived as iterSeed + restartIndex
-// (iterSeed drawn once per iteration from the master stream), runs them on
-// a bounded worker pool, and picks the winner by a fixed tie-break —
-// lowest stage-1 loss, then most newly activated target neurons, then
-// lowest restart index. T_in,min calibration likewise evaluates its
-// candidate durations concurrently with per-candidate derived RNGs.
-// Because every random stream and every selection rule is a pure function
-// of the seed, results are bit-identical for ANY worker count; Workers
-// only trades cores for wall-clock time.
+// Parallel configures the deterministic multi-restart generation engine,
+// the only generation driver. Every outer iteration draws one iterSeed
+// from the master RNG stream and launches K = Restarts independent chunk
+// optimizers whose RNGs are derived as iterSeed + restartIndex. It runs
+// them on a bounded worker pool and picks the winner by a fixed
+// tie-break: lowest stage-1 loss, then most newly activated target
+// neurons, then lowest restart index. T_in,min calibration likewise
+// evaluates its candidate durations on the pool with per-candidate
+// derived RNGs. Because every random stream and every selection rule is
+// a pure function of the seed, results are bit-identical for ANY worker
+// count; Workers only trades cores for wall-clock time.
 type Parallel struct {
 	// Restarts is K, the number of independently seeded chunk optimizers
-	// per outer iteration. 0 and 1 select the serial legacy path.
+	// per outer iteration; 0 behaves as 1.
 	Restarts int
 	// Workers bounds the goroutines evaluating restarts and calibration
 	// candidates; 0 uses GOMAXPROCS. Never affects results, only speed.
 	Workers int
 }
-
-// enabled reports whether the multi-restart engine is active.
-func (p Parallel) enabled() bool { return p.Restarts > 1 }
 
 // restarts returns the effective restart count K (at least 1).
 func (p Parallel) restarts() int {
@@ -41,21 +33,6 @@ func (p Parallel) restarts() int {
 		return 1
 	}
 	return p.Restarts
-}
-
-// workers returns the effective pool size for n work items.
-func (p Parallel) workers(n int) int {
-	w := p.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Config holds the user-defined parameters of the test-generation
@@ -96,8 +73,9 @@ type Config struct {
 	// expires immediately (matching the historical ad-hoc polling), so
 	// callers wanting an effectively unbounded run set a large value.
 	TimeLimit time.Duration
-	// Parallel configures the deterministic multi-restart engine; the
-	// zero value keeps the serial legacy algorithm.
+	// Parallel configures the restart count and worker pool of the
+	// generation engine; the zero value runs one restart per iteration on
+	// GOMAXPROCS calibration workers.
 	Parallel Parallel
 	// LR is the initial Adam learning rate (paper: 0.1), annealed over
 	// each stage with a cosine schedule.

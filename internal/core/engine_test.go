@@ -11,7 +11,7 @@ import (
 // TestEquivReferenceEngineBitIdentity pins the buffer-reusing generation
 // engine (arena, record/scratch reuse, mapless activation counting) to
 // the per-iteration-allocation reference engine: for every fixture and
-// for both the serial and the multi-restart paths, the generated
+// for one restart and for several, the generated
 // stimulus and the iteration trace must be bit-identical — the engines
 // may differ only in where buffers live.
 func TestEquivReferenceEngineBitIdentity(t *testing.T) {

@@ -36,11 +36,11 @@ type IterationStats struct {
 	TotalActivated int
 	Stage1Loss     float64
 	// Restart is the index of the restart that won this iteration's
-	// multi-restart selection (0 on the serial path).
+	// multi-restart selection.
 	Restart int
 	// RestartsRun is the number of restarts actually evaluated this
-	// iteration (1 on the serial path; may be < Config.Parallel.Restarts
-	// when the run was cancelled mid-iteration).
+	// iteration (< Config.Parallel.Restarts when the run was cancelled
+	// mid-iteration).
 	RestartsRun int
 }
 
@@ -95,9 +95,9 @@ func Generate(net *snn.Network, cfg Config) (*Result, error) {
 // partial result generated so far is returned, never an error, exactly
 // like hitting t_limit.
 //
-// With Config.Parallel.Restarts > 1 each iteration runs its restarts on a
-// bounded worker pool; see Parallel for the determinism contract (results
-// depend only on the seed, never on the worker count).
+// Each iteration runs Config.Parallel.Restarts restarts on a bounded
+// worker pool; see Parallel for the determinism contract (results depend
+// only on the seed, never on the worker count).
 func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result, error) {
 	if net.HasFaultOverrides() {
 		return nil, fmt.Errorf("core: Generate requires a fault-free network, but %q carries fault overrides", net.Name)
@@ -120,6 +120,7 @@ func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result
 			"layers":  len(net.Layers),
 			"seed":    cfg.Seed,
 		})
+		obs.ProgressRun(run, "generate", 0, totalNeurons)
 		// Tag CPU samples from here down (including pool workers, which
 		// inherit goroutine labels at spawn) with this run's id.
 		ctx = obs.WithRunLabel(ctx, run)
@@ -128,18 +129,13 @@ func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result
 		obsGenIteration.Set(0)
 		obsGenActivated.Set(0)
 		obsGenTotal.Set(int64(totalNeurons))
-		obs.ProgressRun(run, "generate", 0, totalNeurons)
 	}
 
 	tInMin := cfg.TInMin
 	if tInMin == 0 {
 		var err error
 		cctx, csp := obs.Start(ctx, "generate/calibrate")
-		if cfg.Parallel.enabled() {
-			tInMin, err = CalibrateTInMinParallel(cctx, net, &cfg, rng.Int63())
-		} else {
-			tInMin, err = CalibrateTInMin(net, &cfg, rng)
-		}
+		tInMin, err = CalibrateTInMinParallel(cctx, net, &cfg, rng.Int63())
 		csp.SetAttr("t_in_min", tInMin)
 		csp.End()
 		if err != nil {
@@ -171,36 +167,10 @@ func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result
 		ictx, isp := obs.Start(ctx, "generate/iteration")
 		isp.SetAttr("iteration", iter)
 
-		var winner restartOutcome
-		if cfg.Parallel.enabled() {
-			var err error
-			winner, err = runRestarts(ictx, net, &cfg, rng.Int63(), tInMin, tdMin, mask, target, offsets)
-			if err != nil {
-				isp.End()
-				return nil, err
-			}
-		} else {
-			// Serial legacy path: the single optimizer consumes the master
-			// RNG stream directly, reproducing historical outputs
-			// byte-for-byte.
-			var t0 time.Time
-			if obs.On() {
-				t0 = time.Now()
-			}
-			rctx, rsp := obs.Start(ictx, "generate/restart")
-			rsp.SetAttr("restart", 0)
-			opt := newChunkOptimizer(net, &cfg, rng, tInMin)
-			best, growths, err := runGrowthLoop(rctx, opt, &cfg, mask, tdMin, target, offsets)
-			rsp.SetAttr("growths", growths)
-			rsp.End()
-			if obs.On() {
-				obsRestartHist.Observe(time.Since(t0))
-			}
-			if err != nil {
-				isp.End()
-				return nil, err
-			}
-			winner = restartOutcome{opt: opt, best: best, growths: growths, run: 1}
+		winner, err := runRestarts(ictx, net, &cfg, rng.Int63(), tInMin, tdMin, mask, target, offsets)
+		if err != nil {
+			isp.End()
+			return nil, err
 		}
 		if winner.best.stim == nil {
 			isp.End()
@@ -208,7 +178,6 @@ func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result
 		}
 		if !cfg.DisableStage2 {
 			_, s2sp := obs.Start(ictx, "generate/stage2")
-			var err error
 			winner.best, err = winner.opt.runStage2(winner.best, offsets)
 			s2sp.End()
 			if err != nil {
@@ -274,8 +243,8 @@ func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result
 
 // runGrowthLoop runs stage 1 and the β-doubling duration growth of
 // Section V-C on one optimizer until a new target neuron activates, the
-// growth budget is exhausted, or ctx is cancelled. It is shared between
-// the serial path and every parallel restart worker.
+// growth budget is exhausted, or ctx is cancelled. Every restart worker
+// runs it.
 func runGrowthLoop(ctx context.Context, opt *chunkOptimizer, cfg *Config, mask *LayerMask, tdMin float64, target map[int]bool, offsets []int) (stageOutcome, int, error) {
 	beta := cfg.Beta
 	growths := 0
@@ -392,29 +361,3 @@ func calibrationBudget(cfg *Config) int {
 // maxCalibrationDuration caps the doubling search of T_in,min
 // calibration: candidate durations are 1, 2, 4, …, maxCalibrationDuration.
 const maxCalibrationDuration = 512
-
-// CalibrateTInMin finds the paper's T_in,min: the smallest input duration
-// for which optimizing min L1 alone makes every output neuron fire. It
-// starts from one step and doubles until the optimization succeeds; if no
-// duration fully succeeds within the cap, it returns the duration that
-// achieved the lowest L1 (preferring shorter on ties), leaving the rest
-// to the full stage-1 optimization with its larger budget. This serial
-// form consumes the caller's RNG stream directly; see
-// CalibrateTInMinParallel for the concurrent, derived-stream variant.
-func CalibrateTInMin(net *snn.Network, cfg *Config, rng *rand.Rand) (int, error) {
-	budget := calibrationBudget(cfg)
-	bestT, bestL1 := maxCalibrationDuration, math.Inf(1)
-	for t := 1; t <= maxCalibrationDuration; t *= 2 {
-		c, err := calibrateCandidate(net, cfg, rng, t, budget)
-		if err != nil {
-			return 0, err
-		}
-		if c.success {
-			return t, nil
-		}
-		if c.minL1 < bestL1 {
-			bestL1, bestT = c.minL1, t
-		}
-	}
-	return bestT, nil
-}

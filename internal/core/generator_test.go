@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -62,8 +63,7 @@ func TestAssembleEmpty(t *testing.T) {
 func TestCalibrateTInMinReachesAllOutputs(t *testing.T) {
 	net := smallNet(4)
 	cfg := TestConfig()
-	rng := rand.New(rand.NewSource(5))
-	tmin := must(CalibrateTInMin(net, &cfg, rng))
+	tmin := must(CalibrateTInMinParallel(context.Background(), net, &cfg, 5))
 	if tmin < 1 {
 		t.Fatalf("T_in,min = %d", tmin)
 	}

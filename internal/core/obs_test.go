@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"testing"
 
 	"github.com/repro/snntest/internal/fault"
@@ -35,9 +36,9 @@ func spanByName(t *testing.T, rec *obs.Recorder, name string) obs.Event {
 	return spans[0]
 }
 
-// TestObsGenerateSpanTree runs the serial generator under a recorder and
-// checks the span tree: calibrate, iterations, restarts and stage 2 all
-// nest under one generate root, and the counters reconcile with Trace.
+// TestObsGenerateSpanTree runs a one-restart generation under a recorder
+// and checks the span tree: calibrate, iterations, restarts and stage 2
+// all nest under one generate root, and the counters reconcile with Trace.
 func TestObsGenerateSpanTree(t *testing.T) {
 	rec := withObsRecorder(t)
 	net := smallNet(21)
@@ -67,7 +68,7 @@ func TestObsGenerateSpanTree(t *testing.T) {
 	}
 	restarts := rec.SpansNamed("generate/restart")
 	if len(restarts) != len(res.Trace) {
-		t.Errorf("restart spans = %d, want %d (serial path: one per iteration)", len(restarts), len(res.Trace))
+		t.Errorf("restart spans = %d, want %d (one restart per iteration)", len(restarts), len(res.Trace))
 	}
 	for _, r := range restarts {
 		if !iterIDs[r.Parent] {
@@ -114,6 +115,33 @@ func TestObsParallelRestartSpans(t *testing.T) {
 	}
 	if got := len(rec.SpansNamed("generate/calibrate/candidate")); got == 0 {
 		t.Error("parallel calibration emitted no candidate spans")
+	}
+}
+
+// TestObsCalibrateEarlyExit pins the calibration early exit: with one
+// worker no candidate above the first successful duration is optimized,
+// and the result matches a four-worker run.
+func TestObsCalibrateEarlyExit(t *testing.T) {
+	rec := withObsRecorder(t)
+	net := smallNet(4)
+	cfg := TestConfig()
+	cfg.Parallel.Workers = 1
+	t1 := must(CalibrateTInMinParallel(context.Background(), net, &cfg, 5))
+	cands := rec.SpansNamed("generate/calibrate/candidate")
+	// One span per duration 1, 2, …, t1 means t1 succeeded and nothing
+	// above it ran; a failed search would have optimized all ten.
+	if want := bits.Len(uint(t1)); len(cands) != want {
+		t.Fatalf("Workers=1 optimized %d candidates for T_in,min = %d, want %d", len(cands), t1, want)
+	}
+	for _, c := range cands {
+		if d, _ := c.Attrs["duration"].(int); d > t1 {
+			t.Errorf("candidate duration %d optimized above the first success %d", d, t1)
+		}
+	}
+
+	cfg.Parallel.Workers = 4
+	if t4 := must(CalibrateTInMinParallel(context.Background(), net, &cfg, 5)); t4 != t1 {
+		t.Errorf("Workers=4 T_in,min = %d, Workers=1 gave %d", t4, t1)
 	}
 }
 

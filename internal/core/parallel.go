@@ -4,104 +4,20 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/repro/snntest/internal/obs"
+	"github.com/repro/snntest/internal/pool"
 	"github.com/repro/snntest/internal/snn"
 )
 
 // Restart-engine telemetry: how many workers are mid-optimization right
-// now, and how long one restart's growth loop takes end to end. The
-// serial legacy path in GenerateContext feeds the same histogram so the
-// latency distribution is comparable across engine modes.
+// now, and how long one restart's growth loop takes end to end.
 var (
 	obsRestartInflight = obs.NewGauge("core_restart_inflight_workers")
 	obsRestartHist     = obs.NewTimingHistogram("core_restart_optimize_seconds")
 )
-
-// Worker-pool resource telemetry, shared by name with the fault
-// campaign's pool (the obs registry is idempotent, so both packages feed
-// the same series): pool size and unclaimed-queue depth as live gauges,
-// total in-fn busy time as a counter, and per-pool utilization — busy
-// time over workers × wall time — as a percentage gauge written when the
-// pool drains. Utilization is the signal that finally explains a 0.97×
-// "speedup": a pool that is mostly idle is contended or starved, not
-// compute-bound.
-var (
-	obsWorkerPoolSize = obs.NewGauge("worker_pool_size_workers")
-	obsWorkerBusy     = obs.NewCounter("worker_busy_micros_total")
-	obsWorkerUtil     = obs.NewGauge("worker_utilization_percent")
-	obsRestartQueue   = obs.NewGauge("core_restart_queue_depth")
-)
-
-// runIndexed executes fn(0..n-1) on a pool of the given number of worker
-// goroutines and blocks until every index has been processed. Each fn call
-// must write only to its own index-addressed slot; the pool imposes no
-// ordering, so determinism comes from the slots, never from completion
-// order.
-//
-// Work items are restarts or calibration candidates — coarse units that
-// run for seconds — so scheduling is a single atomic counter rather than
-// a channel: no per-item send/receive, no channel buffer sized to n, and
-// a workers<=1 call degenerates to a plain loop on the caller's
-// goroutine with no synchronization at all.
-func runIndexed(workers, n int, fn func(int)) {
-	if workers >= n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	on := obs.On()
-	var poolStart time.Time
-	var busyUS atomic.Int64
-	if on {
-		poolStart = time.Now()
-		obsWorkerPoolSize.Set(int64(workers))
-		obsRestartQueue.Set(int64(n))
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if on {
-					if d := int64(n) - next.Load(); d > 0 {
-						obsRestartQueue.Set(d)
-					} else {
-						obsRestartQueue.Set(0)
-					}
-					t0 := time.Now()
-					fn(i)
-					busyUS.Add(time.Since(t0).Microseconds())
-					continue
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if on {
-		busy := busyUS.Load()
-		obsWorkerBusy.Add(busy)
-		if capacity := time.Since(poolStart).Microseconds() * int64(workers); capacity > 0 {
-			obsWorkerUtil.Set(busy * 100 / capacity)
-		}
-		obsWorkerPoolSize.Set(0)
-		obsRestartQueue.Set(0)
-	}
-}
 
 // restartOutcome is the result of one restart of the multi-restart stage-1
 // engine: the optimizer that produced it (kept so the winner can continue
@@ -135,7 +51,7 @@ func runRestarts(ctx context.Context, net *snn.Network, cfg *Config, iterSeed in
 		err     error
 	}
 	slots := make([]slot, k)
-	runIndexed(cfg.Parallel.workers(k), k, func(r int) {
+	pool.Run(cfg.Parallel.Workers, k, func(r int) {
 		if ctx.Err() != nil {
 			return
 		}
@@ -179,14 +95,19 @@ func runRestarts(ctx context.Context, net *snn.Network, cfg *Config, iterSeed in
 	return winner, nil
 }
 
-// CalibrateTInMinParallel is the multi-restart engine's T_in,min
-// calibration: all candidate durations 1, 2, 4, …, maxCalibrationDuration
-// are optimized concurrently, candidate i seeded with calibSeed + i, and
-// the serial selection rule is applied afterwards — the shortest fully
-// successful duration, falling back to the duration with the lowest L1
-// (shortest on ties). Unlike CalibrateTInMin it never consumes the master
-// RNG stream, so the outcome depends only on calibSeed, not on worker
-// count or scheduling.
+// CalibrateTInMinParallel finds the paper's T_in,min: the smallest input
+// duration for which optimizing min L1 alone makes every output neuron
+// fire. Candidate durations 1, 2, 4, …, maxCalibrationDuration are
+// optimized on a pool of cfg.Parallel.Workers goroutines, candidate i
+// seeded with calibSeed + i, and the shortest fully successful duration
+// wins. If none succeeds, the duration with the lowest L1 (shortest on
+// ties) is returned, leaving the rest to the full stage-1 optimization
+// with its larger budget.
+//
+// Candidates above the lowest one known to succeed are skipped, since
+// they can no longer be selected. The pool claims indices in increasing
+// order, so every candidate below the first success is still evaluated
+// and the outcome depends only on calibSeed, never on the worker count.
 func CalibrateTInMinParallel(ctx context.Context, net *snn.Network, cfg *Config, calibSeed int64) (int, error) {
 	budget := calibrationBudget(cfg)
 	n := 0
@@ -199,8 +120,10 @@ func CalibrateTInMinParallel(ctx context.Context, net *snn.Network, cfg *Config,
 		err  error
 	}
 	slots := make([]slot, n)
-	runIndexed(cfg.Parallel.workers(n), n, func(i int) {
-		if ctx.Err() != nil {
+	var firstSuccess atomic.Int64
+	firstSuccess.Store(int64(n))
+	pool.Run(cfg.Parallel.Workers, n, func(i int) {
+		if ctx.Err() != nil || int64(i) > firstSuccess.Load() {
 			return
 		}
 		_, csp := obs.Start(ctx, "generate/calibrate/candidate")
@@ -209,6 +132,14 @@ func CalibrateTInMinParallel(ctx context.Context, net *snn.Network, cfg *Config,
 		cand, err := calibrateCandidate(net.Clone(), cfg, rng, 1<<i, budget)
 		csp.End()
 		slots[i] = slot{cand: cand, done: true, err: err}
+		if err == nil && cand.success {
+			for {
+				cur := firstSuccess.Load()
+				if int64(i) >= cur || firstSuccess.CompareAndSwap(cur, int64(i)) {
+					break
+				}
+			}
+		}
 	})
 
 	bestT, bestL1 := maxCalibrationDuration, math.Inf(1)

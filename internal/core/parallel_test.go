@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/repro/snntest/internal/snn"
@@ -46,18 +47,26 @@ func TestEquivGenerateWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// Restarts ∈ {0, 1} must select the serial legacy path and reproduce its
-// output byte-for-byte, whatever Workers says.
-func TestEquivRestartsOneMatchesLegacySerial(t *testing.T) {
+// Restarts 0 and 1 are the same K=1 run of the restart engine: byte-
+// identical stimuli and traces, and at Restarts=1 the worker count
+// changes nothing either.
+func TestEquivRestartsZeroAndOneAgree(t *testing.T) {
 	net := smallNet(8)
 	cfg := TestConfig()
 	cfg.Seed = 9
-	legacy := must(Generate(net, cfg))
-
-	cfg.Parallel = Parallel{Restarts: 1, Workers: 4}
-	one := must(Generate(net, cfg))
-	if !tensor.Equal(legacy.Stimulus, one.Stimulus, 0) {
-		t.Error("Restarts=1 must reproduce the serial stimulus byte-for-byte")
+	var results []*Result
+	for _, par := range []Parallel{{}, {Restarts: 1, Workers: 1}, {Restarts: 1, Workers: 4}} {
+		cfg.Parallel = par
+		results = append(results, must(Generate(net, cfg)))
+	}
+	ref := results[0]
+	for i, res := range results[1:] {
+		if !tensor.Equal(ref.Stimulus, res.Stimulus, 0) {
+			t.Errorf("case %d: stimulus differs from Restarts=0", i+1)
+		}
+		if !slices.Equal(ref.Trace, res.Trace) {
+			t.Errorf("case %d: trace differs from Restarts=0:\n%+v\n%+v", i+1, res.Trace, ref.Trace)
+		}
 	}
 }
 
@@ -88,8 +97,8 @@ func TestEquivCalibrateTInMinParallelWorkerInvariance(t *testing.T) {
 	}
 }
 
-// Trace provenance: parallel iterations record which restart won and how
-// many ran; the serial path keeps the legacy 0/1 values.
+// Trace provenance: iterations record which restart won and how many
+// ran; a single restart reports 0/1.
 func TestParallelTraceProvenance(t *testing.T) {
 	net := smallNet(6)
 	cfg := fastParallelConfig(3, 2)
@@ -110,7 +119,7 @@ func TestParallelTraceProvenance(t *testing.T) {
 	res = must(Generate(net, cfg))
 	for _, it := range res.Trace {
 		if it.Restart != 0 || it.RestartsRun != 1 {
-			t.Errorf("serial iteration %d: provenance %d/%d, want 0/1", it.Iteration, it.Restart, it.RestartsRun)
+			t.Errorf("single-restart iteration %d: provenance %d/%d, want 0/1", it.Iteration, it.Restart, it.RestartsRun)
 		}
 	}
 }

@@ -3,12 +3,11 @@ package fault
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/repro/snntest/internal/obs"
+	"github.com/repro/snntest/internal/pool"
 	"github.com/repro/snntest/internal/snn"
 	"github.com/repro/snntest/internal/tensor"
 )
@@ -46,21 +45,10 @@ var (
 )
 
 // Live-campaign gauges and latency histogram, only touched when the obs
-// layer is enabled (the telemetry server's /metrics and /runs views).
-// done/total track the progress-reporter stride; detected/critical are
-// bumped per hit so coverage-so-far is exact; the inflight gauge pairs
-// Add(1)/Add(-1) around each worker's lifetime.
-// Worker-pool resource telemetry. The names match internal/core's pool
-// instrumentation on purpose — the obs registry is idempotent, so the
-// restart pool and the fault-campaign pool feed one shared series and
-// /metrics shows whichever pool ran last (pools never overlap: campaigns
-// and generation phases are sequential).
-var (
-	obsWorkerPoolSize = obs.NewGauge("worker_pool_size_workers")
-	obsWorkerBusy     = obs.NewCounter("worker_busy_micros_total")
-	obsWorkerUtil     = obs.NewGauge("worker_utilization_percent")
-)
-
+// layer is enabled (the telemetry server's /metrics view). done/total
+// track the progress-reporter stride; detected/critical are bumped per hit
+// so coverage-so-far is exact; the inflight gauge counts workers
+// mid-fault.
 var (
 	obsCampaignInflight = obs.NewGauge("fault_campaign_inflight_workers")
 	obsCampaignDone     = obs.NewGauge("fault_campaign_done_faults")
@@ -103,122 +91,29 @@ type ClassifyResult struct {
 	FullLayerSteps int64
 }
 
-// workerCount resolves a worker request against GOMAXPROCS.
-func workerCount(requested int) int {
-	if requested > 0 {
-		return requested
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// parallelFaults fans the fault indices out over per-worker injectors and
-// calls fn(injector, faultIndex) for each. Each injector (and its scratch)
-// is confined to one worker goroutine.
-func parallelFaults(golden *snn.Network, n, workers int, fn func(inj *Injector, i int)) {
-	workers = workerCount(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if obs.On() {
-			obsCampaignInflight.Add(1)
-			defer obsCampaignInflight.Add(-1)
-		}
-		inj := NewInjector(golden)
-		for i := 0; i < n; i++ {
-			fn(inj, i)
-		}
-		return
-	}
-	on := obs.On()
-	var poolStart time.Time
-	var busyUS atomic.Int64
-	if on {
-		poolStart = time.Now()
-		obsWorkerPoolSize.Set(int64(workers))
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if on {
-				obsCampaignInflight.Add(1)
-				defer obsCampaignInflight.Add(-1)
-			}
-			inj := NewInjector(golden)
-			for i := range next {
-				if on {
-					t0 := time.Now()
-					fn(inj, i)
-					busyUS.Add(time.Since(t0).Microseconds())
-					continue
-				}
-				fn(inj, i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if on {
-		busy := busyUS.Load()
-		obsWorkerBusy.Add(busy)
-		if capacity := time.Since(poolStart).Microseconds() * int64(workers); capacity > 0 {
-			obsWorkerUtil.Set(busy * 100 / capacity)
-		}
-		obsWorkerPoolSize.Set(0)
-	}
-}
-
-// progressSink receives campaign completion updates. The user callback
-// and the obs trace stream are both sinks of the same reporter, so they
-// see identical update sequences.
-type progressSink interface {
-	report(done, total int)
-}
-
-// callbackSink adapts a CampaignOptions.Progress func.
-type callbackSink struct{ fn func(done int) }
-
-func (s callbackSink) report(done, _ int) { s.fn(done) }
-
-// obsSink forwards updates to the obs layer as progress events,
-// run-correlated when the campaign minted a flight-recorder run id.
-type obsSink struct{ name, run string }
-
-func (s obsSink) report(done, total int) { obs.ProgressRun(s.run, s.name, done, total) }
-
-// progressReporter fans completion counts out to its sinks every stride
-// completions. tick runs on worker goroutines outside every campaign
-// lock; finish — called after the workers join — guarantees exactly one
-// terminal done == total report, even when the fault list is empty or
-// total is not a stride multiple.
+// progressReporter reports campaign completion counts every stride
+// completions: to the optional CampaignOptions.Progress callback, to the
+// done/total gauges, and as run-scoped progress events. tick runs on
+// worker goroutines outside every campaign lock; finish — called after
+// the workers join — guarantees exactly one terminal done == total
+// report, even when the fault list is empty or total is not a stride
+// multiple.
 type progressReporter struct {
 	done     atomic.Int64
 	terminal atomic.Bool
 	total    int
 	stride   int64
-	sinks    []progressSink
+	fn       func(done int)
+	name     string
+	run      string // "" when run events are off
 }
 
-func newProgressReporter(total, stride int, opts CampaignOptions, name, run string) *progressReporter {
-	r := &progressReporter{total: total, stride: int64(stride)}
-	if opts.Progress != nil {
-		r.sinks = append(r.sinks, callbackSink{opts.Progress})
-	}
-	if obs.On() {
-		r.sinks = append(r.sinks, obsSink{name: name, run: run})
-	}
-	return r
-}
+// active reports whether anything consumes the reports.
+func (r *progressReporter) active() bool { return r.fn != nil || obs.On() }
 
 // tick records one completed fault.
 func (r *progressReporter) tick() {
-	if len(r.sinks) == 0 {
+	if !r.active() {
 		return
 	}
 	d := r.done.Add(1)
@@ -233,7 +128,7 @@ func (r *progressReporter) tick() {
 
 // finish emits the terminal report unless a tick already did.
 func (r *progressReporter) finish() {
-	if len(r.sinks) == 0 || r.terminal.Swap(true) {
+	if !r.active() || r.terminal.Swap(true) {
 		return
 	}
 	r.emit(r.total)
@@ -246,20 +141,117 @@ func (r *progressReporter) emit(done int) {
 		obsCampaignDone.Set(int64(done))
 		obsCampaignTotal.Set(int64(r.total))
 	}
-	for _, s := range r.sinks {
-		s.report(done, r.total)
+	if r.fn != nil {
+		r.fn(done)
 	}
+	obs.ProgressRun(r.run, r.name, done, r.total)
 }
 
-// span opens the campaign's obs span under the options' context and
-// returns the derived context so run-labelled profiling can compose with
-// it (see obs.WithRunLabel).
-func (opts CampaignOptions) span(name string) (context.Context, *obs.Span) {
+// campaign describes one fault campaign to run: what SimulateWith and
+// ClassifyWith differ in. Everything else — the span, the run identity,
+// the run_start/fault/run_end events, the gauges, the per-fault timing,
+// progress and the closing counters — is the lifecycle in run.
+type campaign struct {
+	name   string // span, run and progress-stream name
+	stride int    // progress reporting stride, in faults
+	// hitKey names the positive outcome ("detected" or "critical") in the
+	// run_end and span attributes; hitGauge counts it live, and
+	// faultCounter and hitCounter are the closing counters.
+	hitKey                   string
+	hitGauge                 *obs.Gauge
+	faultCounter, hitCounter *obs.Counter
+	// golden runs the fault-free reference simulations inside the
+	// campaign span. It returns the run_start metadata and the
+	// layer-steps a full re-simulation of one fault costs.
+	golden func() (attrs map[string]any, fullPerFault int64)
+	// simulate runs fault i on a worker's injector and reports its
+	// detection flag, simulated steps and layer-steps. It must write only
+	// to its own fault's result slot.
+	simulate func(inj *Injector, i int) obs.FaultOutcome
+}
+
+// campaignTally is what run returns: the hit count and the campaign's
+// work counters.
+type campaignTally struct {
+	hits                       int
+	layerSteps, fullLayerSteps int64
+}
+
+// run executes the campaign over faults on a pool of per-worker
+// injectors of net.
+func (c *campaign) run(net *snn.Network, faults []Fault, opts CampaignOptions) campaignTally {
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return obs.Start(ctx, name)
+	ctx, sp := obs.Start(ctx, c.name)
+	defer sp.End()
+	sp.SetAttr("faults", len(faults))
+	attrs, fullPerFault := c.golden()
+	for k, v := range attrs {
+		sp.SetAttr(k, v)
+	}
+	rep := &progressReporter{total: len(faults), stride: int64(c.stride), fn: opts.Progress, name: c.name}
+	if obs.RunEventsOn() {
+		rep.run = obs.NewRunID(c.name)
+		obs.EmitRunStart(rep.run, c.name, len(faults), attrs)
+		// Tag this goroutine's CPU samples with the run id; the pool
+		// workers spawned below inherit the goroutine label set.
+		ctx = obs.WithRunLabel(ctx, rep.run)
+	}
+	if obs.On() {
+		obsCampaignDone.Set(0)
+		obsCampaignTotal.Set(int64(len(faults)))
+		c.hitGauge.Set(0)
+	}
+	var hits, layerSteps atomic.Int64
+	pool.RunWith(opts.Workers, len(faults), func() *Injector { return NewInjector(net) }, func(inj *Injector, i int) {
+		on := obs.On()
+		var t0 time.Time
+		if on {
+			obsCampaignInflight.Add(1)
+			t0 = time.Now()
+		}
+		out := c.simulate(inj, i)
+		layerSteps.Add(int64(out.LayerSteps))
+		if out.Detected {
+			hits.Add(1)
+		}
+		if on {
+			if out.Detected {
+				c.hitGauge.Add(1)
+			}
+			obsFaultSimHist.Observe(time.Since(t0))
+			obsCampaignInflight.Add(-1)
+		}
+		if rep.run != "" {
+			f := faults[i]
+			out.Index, out.Kind, out.Layer = i, f.Kind.String(), f.Layer
+			obs.EmitFault(rep.run, c.name, out)
+		}
+		rep.tick()
+	})
+	rep.finish()
+	t := campaignTally{
+		hits:           int(hits.Load()),
+		layerSteps:     layerSteps.Load(),
+		fullLayerSteps: int64(len(faults)) * fullPerFault,
+	}
+	if rep.run != "" {
+		obs.EmitRunEnd(rep.run, c.name, len(faults), len(faults), map[string]any{
+			c.hitKey:      t.hits,
+			"layer_steps": t.layerSteps,
+		})
+	}
+	if obs.On() {
+		c.faultCounter.Add(int64(len(faults)))
+		c.hitCounter.Add(int64(t.hits))
+		obsCampaignLayerSteps.Add(t.layerSteps)
+		obsCampaignFullSteps.Add(t.fullLayerSteps)
+		sp.SetAttr(c.hitKey, t.hits)
+		sp.SetAttr("layer_steps", t.layerSteps)
+	}
+	return t
 }
 
 // Simulate runs the fault-simulation campaign: each fault is injected in
@@ -288,99 +280,46 @@ func SimulateWith(golden *snn.Network, faults []Fault, stimulus *tensor.Tensor, 
 	if err := Validate(golden, faults); err != nil {
 		return nil, err
 	}
-	ctx, sp := opts.span("campaign/simulate")
-	defer sp.End()
-	sp.SetAttr("faults", len(faults))
-	goldenRec := golden.Run(stimulus)
-	goldenOut := goldenRec.Output()
-	fullPerFault := int64(len(golden.Layers)) * int64(steps)
-	res := &SimResult{
-		Detected:       make([]bool, len(faults)),
-		FullLayerSteps: int64(len(faults)) * fullPerFault,
-	}
-	run := ""
-	if obs.RunEventsOn() {
-		run = obs.NewRunID("campaign/simulate")
-		obs.EmitRunStart(run, "campaign/simulate", len(faults), map[string]any{
-			"steps":  steps,
-			"layers": len(golden.Layers),
-		})
-		// Tag this goroutine's CPU samples with the run id; the fault
-		// workers spawned below inherit the goroutine label set.
-		ctx = obs.WithRunLabel(ctx, run)
-	}
-	rep := newProgressReporter(len(faults), 256, opts, "campaign/simulate", run)
-	if obs.On() {
-		obsCampaignDone.Set(0)
-		obsCampaignTotal.Set(int64(len(faults)))
-		obsCampaignDetected.Set(0)
-	}
-	var layerSteps atomic.Int64
-	parallelFaults(golden, len(faults), opts.Workers, func(inj *Injector, i int) {
-		f := faults[i]
-		on := obs.On()
-		var t0 time.Time
-		if on {
-			t0 = time.Now()
-		}
-		revert := inj.Apply(f)
-		var detected bool
-		var ls int
-		divStep, simSteps := -1, steps
-		if opts.FullResim {
-			rec, n := inj.Scratch().RunFrom(0, nil, stimulus)
-			detected, ls = tensor.L1Diff(goldenOut, rec.Output()) > 0, n
-			if detected && run != "" {
-				divStep = firstDivergence(rec.Output(), goldenOut, steps)
+	res := &SimResult{Detected: make([]bool, len(faults))}
+	var goldenRec *snn.Record
+	var goldenOut *tensor.Tensor
+	c := campaign{
+		name: "campaign/simulate", stride: 256,
+		hitKey: "detected", hitGauge: obsCampaignDetected,
+		faultCounter: obsFaultsSimulated, hitCounter: obsFaultsDetected,
+		golden: func() (map[string]any, int64) {
+			goldenRec = golden.Run(stimulus)
+			goldenOut = goldenRec.Output()
+			return map[string]any{"steps": steps, "layers": len(golden.Layers)},
+				int64(len(golden.Layers)) * int64(steps)
+		},
+		simulate: func(inj *Injector, i int) obs.FaultOutcome {
+			f := faults[i]
+			revert := inj.Apply(f)
+			defer revert()
+			out := obs.FaultOutcome{DivStep: -1, SimSteps: steps}
+			if opts.FullResim {
+				rec, n := inj.Scratch().RunFrom(0, nil, stimulus)
+				out.Detected, out.LayerSteps = tensor.L1Diff(goldenOut, rec.Output()) > 0, n
+				if out.Detected && obs.RunEventsOn() {
+					out.DivStep = firstDivergence(rec.Output(), goldenOut, steps)
+				}
+			} else {
+				out.Detected, out.LayerSteps = inj.Scratch().DivergesFrom(f.StartLayer(), goldenRec, stimulus)
+				out.SimSteps = inj.Scratch().LastSimSteps()
+				if out.Detected {
+					// Early exit happens on the divergent step, so the last
+					// simulated step is the first divergence.
+					out.DivStep = out.SimSteps - 1
+				}
 			}
-		} else {
-			detected, ls = inj.Scratch().DivergesFrom(f.StartLayer(), goldenRec, stimulus)
-			simSteps = inj.Scratch().LastSimSteps()
-			if detected {
-				// Early exit happens on the divergent step, so the last
-				// simulated step is the first divergence.
-				divStep = simSteps - 1
-			}
-		}
-		revert()
-		res.Detected[i] = detected
-		layerSteps.Add(int64(ls))
-		if on {
-			if detected {
-				obsCampaignDetected.Add(1)
-			}
-			obsFaultSimHist.Observe(time.Since(t0))
-		}
-		if run != "" {
-			obs.EmitFault(run, "campaign/simulate", obs.FaultOutcome{
-				Index:      i,
-				Kind:       f.Kind.String(),
-				Layer:      f.Layer,
-				Detected:   detected,
-				DivStep:    divStep,
-				SimSteps:   simSteps,
-				LayerSteps: ls,
-			})
-		}
-		rep.tick()
-	})
-	rep.finish()
-	res.LayerSteps = layerSteps.Load()
+			res.Detected[i] = out.Detected
+			return out
+		},
+	}
+	t := c.run(golden, faults, opts)
+	res.LayerSteps, res.FullLayerSteps = t.layerSteps, t.fullLayerSteps
 	res.Elapsed = time.Since(start)
-	if run != "" {
-		obs.EmitRunEnd(run, "campaign/simulate", len(faults), len(faults), map[string]any{
-			"detected":    res.NumDetected(),
-			"layer_steps": res.LayerSteps,
-		})
-	}
-	if obs.On() {
-		obsFaultsSimulated.Add(int64(len(faults)))
-		obsFaultsDetected.Add(int64(res.NumDetected()))
-		obsCampaignLayerSteps.Add(res.LayerSteps)
-		obsCampaignFullSteps.Add(res.FullLayerSteps)
-		sp.SetAttr("detected", res.NumDetected())
-		sp.SetAttr("layer_steps", res.LayerSteps)
-	}
 	return res, nil
 }
 
@@ -425,119 +364,55 @@ func ClassifyWith(golden *snn.Network, faults []Fault, samples []*tensor.Tensor,
 	if err := Validate(golden, faults); err != nil {
 		return nil, err
 	}
-	ctx, sp := opts.span("campaign/classify")
-	defer sp.End()
-	sp.SetAttr("faults", len(faults))
-	sp.SetAttr("samples", len(samples))
+	res := &ClassifyResult{Critical: make([]bool, len(faults))}
 	goldenRecs := make([]*snn.Record, len(samples))
 	goldenPred := make([]int, len(samples))
-	var fullPerFault int64
-	for i, s := range samples {
-		goldenRecs[i] = golden.Run(s)
-		goldenPred[i] = tensor.ArgMax(goldenRecs[i].OutputCounts())
-		fullPerFault += int64(len(golden.Layers)) * int64(goldenRecs[i].Steps)
-	}
-	res := &ClassifyResult{
-		Critical:       make([]bool, len(faults)),
-		FullLayerSteps: int64(len(faults)) * fullPerFault,
-	}
-	run := ""
-	if obs.RunEventsOn() {
-		run = obs.NewRunID("campaign/classify")
-		obs.EmitRunStart(run, "campaign/classify", len(faults), map[string]any{
-			"samples": len(samples),
-			"layers":  len(golden.Layers),
-		})
-		// Tag this goroutine's CPU samples with the run id; the fault
-		// workers spawned below inherit the goroutine label set.
-		ctx = obs.WithRunLabel(ctx, run)
-	}
-	rep := newProgressReporter(len(faults), 64, opts, "campaign/classify", run)
-	if obs.On() {
-		obsCampaignDone.Set(0)
-		obsCampaignTotal.Set(int64(len(faults)))
-		obsCampaignCritical.Set(0)
-	}
-	var layerSteps atomic.Int64
-	parallelFaults(golden, len(faults), opts.Workers, func(inj *Injector, i int) {
-		f := faults[i]
-		on := obs.On()
-		var t0 time.Time
-		if on {
-			t0 = time.Now()
-		}
-		startLayer := f.StartLayer()
-		if opts.FullResim {
-			startLayer = 0
-		}
-		revert := inj.Apply(f)
-		ls := 0
-		for si, s := range samples {
-			var rec *snn.Record
-			var n int
-			if startLayer == 0 {
-				rec, n = inj.Scratch().RunFrom(0, nil, s)
-			} else {
-				rec, n = inj.Scratch().RunFrom(startLayer, goldenRecs[si], s)
+	c := campaign{
+		name: "campaign/classify", stride: 64,
+		hitKey: "critical", hitGauge: obsCampaignCritical,
+		faultCounter: obsFaultsClassified, hitCounter: obsFaultsCritical,
+		golden: func() (map[string]any, int64) {
+			var fullPerFault int64
+			for i, s := range samples {
+				goldenRecs[i] = golden.Run(s)
+				goldenPred[i] = tensor.ArgMax(goldenRecs[i].OutputCounts())
+				fullPerFault += int64(len(golden.Layers)) * int64(goldenRecs[i].Steps)
 			}
-			ls += n
-			if tensor.ArgMax(rec.OutputCounts()) != goldenPred[si] {
-				res.Critical[i] = true
-				break
+			return map[string]any{"samples": len(samples), "layers": len(golden.Layers)}, fullPerFault
+		},
+		simulate: func(inj *Injector, i int) obs.FaultOutcome {
+			f := faults[i]
+			startLayer := f.StartLayer()
+			if opts.FullResim {
+				startLayer = 0
 			}
-		}
-		revert()
-		layerSteps.Add(int64(ls))
-		if on {
-			if res.Critical[i] {
-				obsCampaignCritical.Add(1)
-			}
-			obsFaultSimHist.Observe(time.Since(t0))
-		}
-		if run != "" {
+			revert := inj.Apply(f)
+			defer revert()
 			// Criticality has no single first-divergence timestep (it spans
 			// samples); DivStep stays -1 and the curve folds these
 			// detections into its final point.
-			obs.EmitFault(run, "campaign/classify", obs.FaultOutcome{
-				Index:      i,
-				Kind:       f.Kind.String(),
-				Layer:      f.Layer,
-				Detected:   res.Critical[i],
-				DivStep:    -1,
-				LayerSteps: ls,
-			})
-		}
-		rep.tick()
-	})
-	rep.finish()
-	res.LayerSteps = layerSteps.Load()
+			out := obs.FaultOutcome{DivStep: -1}
+			for si, s := range samples {
+				var rec *snn.Record
+				var n int
+				if startLayer == 0 {
+					rec, n = inj.Scratch().RunFrom(0, nil, s)
+				} else {
+					rec, n = inj.Scratch().RunFrom(startLayer, goldenRecs[si], s)
+				}
+				out.LayerSteps += n
+				if tensor.ArgMax(rec.OutputCounts()) != goldenPred[si] {
+					out.Detected = true
+					break
+				}
+			}
+			res.Critical[i] = out.Detected
+			return out
+		},
+	}
+	t := c.run(golden, faults, opts)
+	res.LayerSteps, res.FullLayerSteps = t.layerSteps, t.fullLayerSteps
 	res.Elapsed = time.Since(start)
-	if run != "" {
-		critical := 0
-		for _, c := range res.Critical {
-			if c {
-				critical++
-			}
-		}
-		obs.EmitRunEnd(run, "campaign/classify", len(faults), len(faults), map[string]any{
-			"critical":    critical,
-			"layer_steps": res.LayerSteps,
-		})
-	}
-	if obs.On() {
-		critical := 0
-		for _, c := range res.Critical {
-			if c {
-				critical++
-			}
-		}
-		obsFaultsClassified.Add(int64(len(faults)))
-		obsFaultsCritical.Add(int64(critical))
-		obsCampaignLayerSteps.Add(res.LayerSteps)
-		obsCampaignFullSteps.Add(res.FullLayerSteps)
-		sp.SetAttr("critical", critical)
-		sp.SetAttr("layer_steps", res.LayerSteps)
-	}
 	return res, nil
 }
 

@@ -249,6 +249,8 @@ func TestObsFusedSpikesMatchReference(t *testing.T) {
 // open in the caller's context becomes the campaign span's parent.
 func TestObsCampaignSpanParenting(t *testing.T) {
 	rec := withObsRecorder(t)
+	obs.SetRunEvents(true)
+	t.Cleanup(func() { obs.SetRunEvents(false) })
 	net := tinyNet(97)
 	faults := SampleUniverse(net, DefaultOptions(), 5)
 	stim := denseStim(98, net, 8)
@@ -268,10 +270,11 @@ func TestObsCampaignSpanParenting(t *testing.T) {
 		t.Errorf("campaign span parent = %d, want root id %d", spans[0].Parent, roots[0].ID)
 	}
 
-	// The obs progress stream carries the same guaranteed terminal event.
+	// The run's progress stream carries the same guaranteed terminal
+	// event.
 	var sawTerminal bool
 	for _, e := range rec.Events() {
-		if e.Kind == obs.KindProgress && e.Name == "campaign/simulate" &&
+		if e.Kind == obs.KindProgress && e.Name == "campaign/simulate" && e.Run != "" &&
 			e.Done == len(faults) && e.Total == len(faults) {
 			sawTerminal = true
 		}

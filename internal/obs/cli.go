@@ -24,7 +24,6 @@ import (
 //	-ledger DIR   per-run flight-recorder journals (JSONL per run)
 //	-profile-dir DIR   phase-labelled cpu/heap pprof profiles, tool-named
 //	-stall-timeout D   stall watchdog deadline for -serve + -ledger runs
-//	-cpuprofile FILE, -memprofile FILE   (aliases of -profile-dir's pair)
 //
 // Register the flags on the binary's FlagSet, then call Start after
 // parsing; the returned stop function shuts the telemetry server down,
@@ -37,14 +36,11 @@ type CLI struct {
 	Trace   string
 	Serve   string
 	Ledger  string
-	// ProfileDir writes the unified profile pair — <tool>.cpu.pprof and
+	// ProfileDir writes the profile pair — <tool>.cpu.pprof and
 	// <tool>.heap.pprof, named after the registered FlagSet so paths are
 	// stable across runs (no timestamps) and CI can upload them as
-	// artifacts. The legacy -cpuprofile/-memprofile flags remain as
-	// aliases; when both are given, the explicit file path wins.
+	// artifacts.
 	ProfileDir string
-	CPUProfile string
-	MemProfile string
 	// Stall arms the telemetry server's stall watchdog: when a tracked
 	// run's progress flatlines for this long, a goroutine dump plus a
 	// runtime-metrics snapshot is written to the -ledger directory.
@@ -72,8 +68,6 @@ func (c *CLI) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Ledger, "ledger", "", "append per-run flight-recorder journals (JSONL) under this directory")
 	fs.StringVar(&c.ProfileDir, "profile-dir", "", "write phase-labelled <tool>.cpu.pprof and <tool>.heap.pprof profiles under this directory")
 	fs.DurationVar(&c.Stall, "stall-timeout", 0, "with -serve and -ledger: snapshot a goroutine dump + runtime metrics to the ledger dir when run progress stalls this long (0 = off)")
-	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file (alias of -profile-dir's cpu half)")
-	fs.StringVar(&c.MemProfile, "memprofile", "", "write a pprof heap profile to this file (alias of -profile-dir's heap half)")
 }
 
 // toolName returns the profile-file stem: the FlagSet name captured at
@@ -164,18 +158,9 @@ func (c *CLI) Start(stderr io.Writer) (*Logger, func() error, error) {
 	}
 	log := NewLogger(stderr, c.Level())
 
-	// Resolve the unified -profile-dir into the legacy per-file paths;
-	// an explicit -cpuprofile/-memprofile wins over the derived name.
-	cpuPath, memPath := c.CPUProfile, c.MemProfile
 	if c.ProfileDir != "" {
 		if err := os.MkdirAll(c.ProfileDir, 0o755); err != nil {
 			return nil, nil, fmt.Errorf("obs: -profile-dir: %w", err)
-		}
-		if cpuPath == "" {
-			cpuPath = filepath.Join(c.ProfileDir, c.toolName()+".cpu.pprof")
-		}
-		if memPath == "" {
-			memPath = filepath.Join(c.ProfileDir, c.toolName()+".heap.pprof")
 		}
 	}
 
@@ -207,7 +192,7 @@ func (c *CLI) Start(stderr io.Writer) (*Logger, func() error, error) {
 		}
 		traceFile, jsonl, rec = f, NewJSONLSink(f), &Recorder{}
 	}
-	if c.Trace != "" || c.Serve != "" || c.Ledger != "" || cpuPath != "" || memPath != "" || c.ForceEnable {
+	if c.Trace != "" || c.Serve != "" || c.Ledger != "" || c.ProfileDir != "" || c.ForceEnable {
 		if jsonl != nil {
 			SetSinks(jsonl, rec)
 		} else {
@@ -251,8 +236,9 @@ func (c *CLI) Start(stderr io.Writer) (*Logger, func() error, error) {
 		})
 	}
 	if c.Serve != "" || c.Ledger != "" {
-		// Per-run flight-recorder events only flow when something consumes
-		// them, keeping plain -trace runs byte-compatible with history.
+		// Per-run flight-recorder events, progress included, only flow
+		// when something consumes them; a plain -trace run records spans
+		// and counters only.
 		SetRunEvents(true)
 		cleanups = append(cleanups, func() error {
 			SetRunEvents(false)
@@ -288,7 +274,7 @@ func (c *CLI) Start(stderr io.Writer) (*Logger, func() error, error) {
 		})
 		log.Infof("telemetry server listening on http://%s (/metrics /healthz /readyz /runs /debug/pprof)", h.Addr)
 	}
-	if cpuPath != "" || c.Serve != "" {
+	if c.ProfileDir != "" || c.Serve != "" {
 		// Phase/run pprof labels cost one small allocation per span, so
 		// they are only maintained when a profile consumer exists: an
 		// on-disk CPU profile, or the server's /debug/pprof endpoints.
@@ -298,7 +284,8 @@ func (c *CLI) Start(stderr io.Writer) (*Logger, func() error, error) {
 			return nil
 		})
 	}
-	if cpuPath != "" {
+	if c.ProfileDir != "" {
+		cpuPath := filepath.Join(c.ProfileDir, c.toolName()+".cpu.pprof")
 		f, err := os.Create(cpuPath)
 		if err != nil {
 			return fail(err)
@@ -307,20 +294,17 @@ func (c *CLI) Start(stderr io.Writer) (*Logger, func() error, error) {
 			_ = f.Close()
 			return fail(err)
 		}
-		path := cpuPath
 		cleanups = append(cleanups, func() error {
 			pprof.StopCPUProfile()
 			if err := f.Close(); err != nil {
 				return err
 			}
-			log.Infof("CPU profile written to %s", path)
+			log.Infof("CPU profile written to %s", cpuPath)
 			return nil
 		})
-	}
-	if memPath != "" {
-		path := memPath
+		memPath := filepath.Join(c.ProfileDir, c.toolName()+".heap.pprof")
 		cleanups = append(cleanups, func() error {
-			f, err := os.Create(path)
+			f, err := os.Create(memPath)
 			if err != nil {
 				return err
 			}
@@ -332,7 +316,7 @@ func (c *CLI) Start(stderr io.Writer) (*Logger, func() error, error) {
 			if err := f.Close(); err != nil {
 				return err
 			}
-			log.Infof("heap profile written to %s", path)
+			log.Infof("heap profile written to %s", memPath)
 			return nil
 		})
 	}

@@ -20,8 +20,7 @@ func TestCLIStartTraceLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	c := CLI{
 		Trace:      filepath.Join(dir, "trace.jsonl"),
-		CPUProfile: filepath.Join(dir, "cpu.pb"),
-		MemProfile: filepath.Join(dir, "mem.pb"),
+		ProfileDir: dir,
 	}
 	var stderr bytes.Buffer
 	log, stop, err := c.Start(&stderr)
@@ -70,7 +69,9 @@ func TestCLIStartTraceLifecycle(t *testing.T) {
 		t.Errorf("trace missing span(%v)/counters(%v):\n%s", sawSpan, sawCounters, data)
 	}
 
-	for _, p := range []string{c.CPUProfile, c.MemProfile} {
+	// Without Register the profiles take the neutral "profile" stem.
+	for _, name := range []string{"profile.cpu.pprof", "profile.heap.pprof"} {
+		p := filepath.Join(dir, name)
 		st, err := os.Stat(p)
 		if err != nil {
 			t.Errorf("profile %s: %v", p, err)
@@ -123,24 +124,6 @@ func TestCLIStartProfileDir(t *testing.T) {
 		} else if st.Size() == 0 {
 			t.Errorf("profile %s is empty", p)
 		}
-	}
-
-	// Explicit legacy flag wins over the derived cpu name; the heap half
-	// still comes from the directory.
-	cpu := filepath.Join(dir, "explicit.pb")
-	c2 := CLI{Quiet: true, ProfileDir: dir, CPUProfile: cpu}
-	_, stop2, err := c2.Start(os.Stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stop2(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(cpu); err != nil {
-		t.Errorf("-cpuprofile alias ignored under -profile-dir: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "profile.heap.pprof")); err != nil {
-		t.Errorf("unregistered CLI fallback heap name: %v", err)
 	}
 }
 

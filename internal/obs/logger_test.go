@@ -125,12 +125,17 @@ func TestCLIRegisterParse(t *testing.T) {
 	var c CLI
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	c.Register(fs)
-	err := fs.Parse([]string{"-v", "-trace", "t.jsonl", "-cpuprofile", "c.pb", "-memprofile", "m.pb"})
+	fs.SetOutput(io.Discard)
+	err := fs.Parse([]string{"-v", "-trace", "t.jsonl", "-profile-dir", "p"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Verbose || c.Trace != "t.jsonl" || c.CPUProfile != "c.pb" || c.MemProfile != "m.pb" {
+	if !c.Verbose || c.Trace != "t.jsonl" || c.ProfileDir != "p" {
 		t.Fatalf("parsed CLI = %+v", c)
+	}
+	// -profile-dir replaced the per-file profile flags.
+	if err := fs.Parse([]string{"-cpuprofile", "c.pb"}); err == nil {
+		t.Error("-cpuprofile still accepted")
 	}
 }
 

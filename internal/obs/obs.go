@@ -9,8 +9,9 @@
 // (snn simulation, fault campaigns, the generation loop) guard every
 // probe behind the single-branch On() check and the golden bit-identity
 // suites run with the layer dark. Enable() flips one atomic; sinks are
-// registered with SetSinks/AddSink and receive completed-span, progress
-// and counter-snapshot events.
+// registered with SetSinks/AddSink and receive completed-span and
+// counter-snapshot events, plus run-scoped lifecycle and progress events
+// when run events are on (SetRunEvents).
 //
 // Span taxonomy, counter names and the overhead-measurement protocol are
 // documented in DESIGN.md §6.
@@ -43,10 +44,10 @@ func On() bool { return enabled.Load() }
 
 // runEvents is the flight-recorder switch layered on top of the main
 // enable gate: per-run lifecycle events (run_start / fault / run_end)
-// and run-correlated progress are only emitted when both are on, so a
-// plain -trace run keeps its historical JSONL content and the fault
-// campaigns pay per-fault event costs only when a ledger or the
-// telemetry server actually consumes them.
+// and run-scoped progress are only emitted when both are on, so a plain
+// -trace run records spans and counters only, and the fault campaigns
+// pay per-fault event costs only when a ledger or the telemetry server
+// actually consumes them.
 var runEvents atomic.Bool
 
 // SetRunEvents toggles per-run flight-recorder events (the -ledger and
@@ -177,7 +178,8 @@ type EventKind string
 const (
 	// KindSpan is a completed span (emitted at End).
 	KindSpan EventKind = "span"
-	// KindProgress is a campaign progress update.
+	// KindProgress is a run-scoped progress update: Run carries the run
+	// id and Done/Total the work units completed so far.
 	KindProgress EventKind = "progress"
 	// KindCounters is a snapshot of every registered counter.
 	KindCounters EventKind = "counters"
@@ -225,7 +227,7 @@ type Event struct {
 	ID     uint64    `json:"id,omitempty"`
 	Parent uint64    `json:"parent,omitempty"`
 	// Run correlates flight-recorder events (run_start/fault/run_end and
-	// run-scoped progress) with one run; empty outside run recording.
+	// progress) with one run; empty for spans and counter snapshots.
 	Run string `json:"run,omitempty"`
 	// Start is the event's wall-clock timestamp (a span's start time).
 	Start time.Time `json:"start"`
@@ -281,16 +283,13 @@ func Emit(e Event) {
 	sinkMu.RUnlock()
 }
 
-// Progress emits a KindProgress event — the obs-layer form of the old
-// ad-hoc campaign progress callbacks, which are now just one more sink
-// for these updates (see fault.CampaignOptions.Progress).
-func Progress(name string, done, total int) {
-	ProgressRun("", name, done, total)
-}
-
-// ProgressRun emits a KindProgress event correlated with a flight-
-// recorder run (run may be empty for uncorrelated progress).
+// ProgressRun emits a KindProgress event reporting done of total work
+// units of a flight-recorder run. No-op unless run events are on, and for
+// an empty run id: progress is always run-scoped.
 func ProgressRun(run, name string, done, total int) {
+	if run == "" || !RunEventsOn() {
+		return
+	}
 	Emit(Event{Kind: KindProgress, Name: name, Run: run, Done: done, Total: total, Start: time.Now()})
 }
 

@@ -130,14 +130,20 @@ func TestProgressAndCounterSnapshotEvents(t *testing.T) {
 	rec := withObs(t)
 	c := NewCounter("obs_test.progress_counter")
 	c.Add(7)
-	Progress("campaign", 5, 10)
+	// Progress is run-scoped: dropped while run events are off, and
+	// dropped without a run id.
+	ProgressRun("campaign-run", "campaign", 1, 10)
+	SetRunEvents(true)
+	t.Cleanup(func() { SetRunEvents(false) })
+	ProgressRun("", "campaign", 2, 10)
+	ProgressRun("campaign-run", "campaign", 5, 10)
 	EmitCounterSnapshot()
 	events := rec.Events()
 	if len(events) != 2 {
 		t.Fatalf("recorded %d events, want 2", len(events))
 	}
 	p := events[0]
-	if p.Kind != KindProgress || p.Name != "campaign" || p.Done != 5 || p.Total != 10 {
+	if p.Kind != KindProgress || p.Run != "campaign-run" || p.Name != "campaign" || p.Done != 5 || p.Total != 10 {
 		t.Errorf("bad progress event %+v", p)
 	}
 	s := events[1]
@@ -151,7 +157,7 @@ func TestEmitDisabledReachesNoSink(t *testing.T) {
 	SetSinks(rec)
 	t.Cleanup(func() { SetSinks() })
 	Emit(Event{Kind: KindSpan, Name: "dark"})
-	Progress("dark", 1, 2)
+	ProgressRun("dark-run", "dark", 1, 2)
 	if got := rec.Events(); len(got) != 0 {
 		t.Fatalf("disabled layer emitted %d events", len(got))
 	}

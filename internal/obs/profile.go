@@ -10,8 +10,7 @@ import (
 // main enable gate, exactly like the run-events gate: when on, every
 // span additionally tags its goroutine with a runtime/pprof `phase`
 // label (and run-correlated code paths add a `run` label), so any CPU
-// profile taken while the process runs — the -cpuprofile/-profile-dir
-// flags or the telemetry server's /debug/pprof/profile endpoint —
+// profile taken while the process runs — the -profile-dir flag or the telemetry server's /debug/pprof/profile endpoint —
 // attributes its samples to the span taxonomy sample by sample.
 //
 // The gate exists because label maintenance, while cheap (one small
@@ -22,7 +21,7 @@ import (
 var profileLabels atomic.Bool
 
 // SetProfileLabels toggles pprof phase/run labelling of spans (the
-// -cpuprofile, -profile-dir and -serve CLI paths turn it on).
+// -profile-dir and -serve CLI paths turn it on).
 func SetProfileLabels(on bool) { profileLabels.Store(on) }
 
 // ProfileLabelsOn reports whether spans should maintain pprof labels:

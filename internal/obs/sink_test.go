@@ -26,7 +26,7 @@ func TestJSONLSinkWellFormed(t *testing.T) {
 	child.SetAttr("n", 3)
 	child.End()
 	root.End()
-	Progress("root", 1, 1)
+	Emit(Event{Kind: KindProgress, Name: "root", Run: "root-run", Done: 1, Total: 1})
 	EmitCounterSnapshot()
 	if err := sink.Err(); err != nil {
 		t.Fatalf("sink error: %v", err)

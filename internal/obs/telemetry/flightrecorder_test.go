@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -61,9 +60,6 @@ func TestCoverageEndpointReconcilesWithCampaign(t *testing.T) {
 	if run.ID == "" || !run.Terminal {
 		t.Fatalf("no terminal campaign/simulate run: %+v", run)
 	}
-	if strings.HasPrefix(run.ID, "run-") {
-		t.Errorf("campaign with run events on should carry a minted run id, got %q", run.ID)
-	}
 
 	var curve ledger.Curve
 	if code := getJSON(t, s.Handler(), "/runs/"+run.ID+"/coverage", &curve); code != http.StatusOK {
@@ -113,7 +109,7 @@ func TestCoverageEndpointReconcilesWithCampaign(t *testing.T) {
 			events.Events[0].Kind, events.Events[len(events.Events)-1].Kind)
 	}
 
-	// Unknown runs and curve-less runs 404.
+	// Unknown runs 404.
 	if code := getJSON(t, s.Handler(), "/runs/no-such/coverage", nil); code != http.StatusNotFound {
 		t.Errorf("/runs/no-such/coverage status = %d, want 404", code)
 	}
@@ -147,16 +143,30 @@ func TestRunsStoreBounded(t *testing.T) {
 	if _, ok := s.Run("hammer-0000"); ok {
 		t.Error("evicted run still queryable")
 	}
-	if _, known, _ := s.Coverage("hammer-0000"); known {
+	if _, known := s.Coverage("hammer-0000"); known {
 		t.Error("evicted run's curve still held")
 	}
-	// Progress-only runs respect the same bound.
+	// Runs first seen through progress respect the same bound.
 	s2 := NewSink()
 	for i := 0; i < maxRuns+extra; i++ {
-		s2.Emit(obs.Event{Kind: obs.KindProgress, Name: fmt.Sprintf("phase-%d", i), Done: 1, Total: 1, Start: now})
+		s2.Emit(obs.Event{Kind: obs.KindProgress, Run: fmt.Sprintf("progress-%04d", i), Name: "generate", Done: 1, Total: 1, Start: now})
 	}
 	if n := len(s2.Runs()); n != maxRuns {
 		t.Errorf("progress-only store holds %d runs, want %d", n, maxRuns)
+	}
+}
+
+// TestProgressWithoutRunIDIgnored pins that progress is run-scoped: an
+// event with an empty run id creates no /runs entry.
+func TestProgressWithoutRunIDIgnored(t *testing.T) {
+	s := New()
+	s.Sink().Emit(obs.Event{Kind: obs.KindProgress, Name: "campaign/simulate", Done: 1, Total: 2, Start: time.Now()})
+	var rr runsResponse
+	if code := getJSON(t, s.Handler(), "/runs", &rr); code != http.StatusOK {
+		t.Fatalf("/runs status = %d", code)
+	}
+	if len(rr.Runs) != 0 {
+		t.Errorf("progress without a run id created runs: %+v", rr.Runs)
 	}
 }
 

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -24,12 +22,12 @@ const maxRunEvents = 256
 var obsRunsTracked = obs.NewGauge("telemetry_runs_tracked")
 
 // RunProgress is the JSON shape of one tracked run as served by /runs
-// and /runs/{id}. A "run" is one progress-reporting activity instance —
-// a fault-simulation campaign, a classification campaign, or a
-// generation loop — identified by the obs progress event stream.
+// and /runs/{id}. A "run" is one flight-recorder activity instance — a
+// fault-simulation campaign, a classification campaign, or a generation
+// loop — identified by the run id its events carry.
 type RunProgress struct {
 	ID    string `json:"id"`
-	Phase string `json:"phase"` // the progress stream name, e.g. "campaign/simulate"
+	Phase string `json:"phase"` // the run's event name, e.g. "campaign/simulate"
 	Done  int    `json:"done"`
 	Total int    `json:"total"`
 	// Percent is 100*Done/Total (0 when Total is 0).
@@ -55,54 +53,42 @@ type RunProgress struct {
 
 // Sink tracks live run progress from the obs event stream. It
 // implements obs.Sink; register it with obs.AddSink (the obs.CLI -serve
-// path does this) and every progress and run-lifecycle event becomes
-// queryable run state. Safe for concurrent Emit and snapshot use.
+// path does this, with run events on) and every run-scoped progress and
+// lifecycle event becomes queryable run state. Safe for concurrent Emit
+// and snapshot use.
 type Sink struct {
 	mu   sync.Mutex
-	seq  int
 	runs []*runState
-
-	// detected/critical are shared handles onto the campaign-layer
-	// coverage gauges; reading them at each progress event freezes
-	// coverage-so-far into the run record without coupling the
-	// instrumentation sites to this package.
-	detected *obs.Gauge
-	critical *obs.Gauge
 }
 
 // runState is the mutable tracking record behind one RunProgress.
 type runState struct {
-	id       string
-	phase    string
-	done     int
-	total    int
-	started  time.Time
-	updated  time.Time
-	detected int64
-	terminal bool
-	// named marks a run keyed by an explicit flight-recorder run id
-	// (never matched by phase-name progress correlation).
-	named      bool
+	id         string
+	phase      string
+	done       int
+	total      int
+	started    time.Time
+	updated    time.Time
+	detected   int64
+	terminal   bool
 	rehydrated bool
 	// curve folds this run's fault events into its coverage curve;
-	// events is the bounded journal tail. Both nil until the first
-	// run-lifecycle event arrives (plain progress-only runs stay lean).
+	// events is the bounded journal tail.
 	curve  *ledger.CurveBuilder
 	events []ledger.Entry
 }
 
 // NewSink returns an empty run tracker.
-func NewSink() *Sink {
-	return &Sink{
-		detected: obs.NewGauge("fault_campaign_detected_faults"),
-		critical: obs.NewGauge("fault_campaign_critical_faults"),
-	}
-}
+func NewSink() *Sink { return &Sink{} }
 
 // Emit consumes one obs event. Progress and run-lifecycle events mutate
-// run state; span and counter events are ignored (the /metrics endpoint
+// the state of the run their id names; events without a run id, spans
+// and counter snapshots among them, are ignored (the /metrics endpoint
 // serves counters directly from the registry).
 func (s *Sink) Emit(e obs.Event) {
+	if e.Run == "" {
+		return
+	}
 	switch e.Kind {
 	case obs.KindProgress:
 		s.emitProgress(e)
@@ -111,29 +97,18 @@ func (s *Sink) Emit(e obs.Event) {
 	}
 }
 
-// emitProgress folds a progress update into its run: by run id when the
-// event is run-correlated, else by phase-name heuristics (the pre-
-// flight-recorder behaviour, kept for uncorrelated emitters).
+// emitProgress folds a progress update into its run. The done count
+// never moves backwards: a campaign's fault events may already have
+// advanced it past a progress report that was in flight on another
+// worker.
 func (s *Sink) emitProgress(e obs.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var r *runState
-	if e.Run != "" {
-		r = s.byIDLocked(e.Run, e.Name, e.Start)
-	} else {
-		r = s.activeLocked(e.Name, e.Done, e.Start)
-	}
-	r.done = e.Done
+	r := s.byIDLocked(e.Run, e.Name, e.Start)
+	r.done = max(r.done, e.Done)
 	r.total = e.Total
 	r.updated = e.Start
-	if r.curve != nil {
-		r.detected = int64(r.curve.Detected())
-	} else if strings.HasPrefix(e.Name, "campaign/") {
-		r.detected = s.detected.Value()
-		if strings.HasSuffix(e.Name, "/classify") {
-			r.detected = s.critical.Value()
-		}
-	}
+	r.detected = int64(r.curve.Detected())
 	if r.total > 0 && r.done >= r.total {
 		r.terminal = true
 	}
@@ -149,9 +124,6 @@ func (s *Sink) emitRunEvent(e obs.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.byIDLocked(e.Run, e.Name, e.Start)
-	if r.curve == nil {
-		r.curve = ledger.NewCurveBuilder(r.id, r.phase)
-	}
 	r.curve.Apply(entry)
 	r.appendEventLocked(entry)
 	r.updated = e.Start
@@ -178,39 +150,15 @@ func (r *runState) appendEventLocked(e ledger.Entry) {
 	r.events = append(r.events, e)
 }
 
-// byIDLocked returns the run keyed by an explicit run id, creating it
-// when unseen (events may arrive in any order near eviction).
+// byIDLocked returns the run keyed by id, creating it when unseen
+// (events may arrive in any order near eviction).
 func (s *Sink) byIDLocked(id, phase string, start time.Time) *runState {
 	for i := len(s.runs) - 1; i >= 0; i-- {
 		if s.runs[i].id == id {
 			return s.runs[i]
 		}
 	}
-	r := &runState{id: id, phase: phase, started: start, named: true}
-	s.insertLocked(r)
-	return r
-}
-
-// activeLocked returns the current run for the named activity, starting
-// a new one when none exists, the previous one completed, or the done
-// count moved backwards (a fresh campaign reusing the name). Runs keyed
-// by explicit run ids are never matched — their progress arrives
-// run-correlated.
-func (s *Sink) activeLocked(name string, done int, start time.Time) *runState {
-	for i := len(s.runs) - 1; i >= 0; i-- {
-		r := s.runs[i]
-		if r.named {
-			continue
-		}
-		if r.phase == name && !r.terminal && r.done <= done {
-			return r
-		}
-		if r.phase == name {
-			break
-		}
-	}
-	s.seq++
-	r := &runState{id: fmt.Sprintf("run-%d", s.seq), phase: name, started: start}
+	r := &runState{id: id, phase: phase, started: start, curve: ledger.NewCurveBuilder(id, phase)}
 	s.insertLocked(r)
 	return r
 }
@@ -256,7 +204,7 @@ func (s *Sink) rehydrateRun(id string, entries []ledger.Entry) {
 			return
 		}
 	}
-	r := &runState{id: id, named: true, rehydrated: true}
+	r := &runState{id: id, rehydrated: true}
 	b := ledger.NewCurveBuilder(id, "")
 	for _, e := range entries {
 		b.Apply(e)
@@ -303,22 +251,17 @@ func (s *Sink) Run(id string) (RunProgress, bool) {
 	return RunProgress{}, false
 }
 
-// Coverage returns the run's derived coverage curve. The second result
-// is false when the run is unknown; the third is false when the run is
-// tracked but recorded no lifecycle events (progress-only runs have no
-// curve).
-func (s *Sink) Coverage(id string) (ledger.Curve, bool, bool) {
+// Coverage returns the run's derived coverage curve, and false when the
+// run is unknown.
+func (s *Sink) Coverage(id string) (ledger.Curve, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, r := range s.runs {
 		if r.id == id {
-			if r.curve == nil {
-				return ledger.Curve{}, true, false
-			}
-			return r.curve.Curve(), true, true
+			return r.curve.Curve(), true
 		}
 	}
-	return ledger.Curve{}, false, false
+	return ledger.Curve{}, false
 }
 
 // Events returns the run's retained journal tail (oldest first).

@@ -136,13 +136,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRunCoverage(w http.ResponseWriter, r *http.Request) {
-	curve, known, hasCurve := s.sink.Coverage(r.PathValue("id"))
-	if !known {
+	curve, ok := s.sink.Coverage(r.PathValue("id"))
+	if !ok {
 		http.Error(w, "unknown run", http.StatusNotFound)
-		return
-	}
-	if !hasCurve {
-		http.Error(w, "run recorded no coverage events", http.StatusNotFound)
 		return
 	}
 	writeJSON(w, curve)

@@ -175,7 +175,7 @@ func TestMetricsExpositionValid(t *testing.T) {
 
 func TestRunsMonotonicDuringCampaign(t *testing.T) {
 	s := New()
-	withObs(t, s.Sink())
+	withRunEvents(t, s.Sink())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -216,8 +216,7 @@ func TestRunsMonotonicDuringCampaign(t *testing.T) {
 			defer mu.Unlock()
 			r, ok := classifyRun(fetchRuns())
 			if !ok {
-				// The reporter invokes this callback before the obs sink,
-				// so the very first emission has not reached /runs yet.
+				t.Error("campaign/classify run missing from /runs after run_start")
 				return
 			}
 			if r.Done < lastDone {
@@ -300,7 +299,7 @@ func TestRunsMonotonicDuringCampaign(t *testing.T) {
 
 func TestSimulateCoverageReconciles(t *testing.T) {
 	s := New()
-	withObs(t, s.Sink())
+	withRunEvents(t, s.Sink())
 
 	net := tinyNet(43)
 	faults := fault.Enumerate(net, fault.DefaultOptions())

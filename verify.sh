@@ -3,7 +3,7 @@
 #
 # Tier 1 (build + vet) must always pass; the snnlint suite enforces the
 # repo-specific invariants (see internal/lint and README.md), and the
-# race run exercises the campaign worker pools, the multi-restart
+# race run exercises the shared worker pool, the multi-restart
 # generation engine, and the tensor/autograd concurrency contracts. Any
 # non-zero exit fails the gate.
 set -eu
@@ -20,10 +20,10 @@ go test -race ./...
 go test -run GradCheck ./internal/autograd/
 # Determinism/equivalence gate: the Equiv tests pin (a) the incremental
 # golden-trace-replay campaign to the full re-simulation reference and
-# (b) the parallel multi-restart generator to its serial output —
-# worker-count invariance, Restarts=1 legacy equivalence, and the
-# seed-pinned Generate→Compact→fault-classification pipeline golden —
-# and must survive repeated runs bit-identically.
+# (b) the multi-restart generator's determinism — worker-count
+# invariance, Restarts 0 and 1 agreement, and the seed-pinned
+# Generate→Compact→fault-classification pipeline golden — and must
+# survive repeated runs bit-identically.
 go test -run Equiv -count=2 ./...
 # Kernel gate: the fused forward path must stay allocation-free across a
 # whole Run/RunFrom pass (the AllocsPerRun tests fail on any regression),
