@@ -3,6 +3,7 @@ package fault
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/repro/snntest/internal/snn"
@@ -118,6 +119,50 @@ func TestInjectorRevertRestoresBehaviour(t *testing.T) {
 	// And the golden network itself must never have been touched.
 	if !tensor.Equal(goldenOut, net.Run(stim).Output(), 0) {
 		t.Error("injector mutated the golden network")
+	}
+}
+
+// TestInjectorRevertRestoresOverrideFreeState pins that reverting any
+// fault leaves a healthy working network override-free — so the next
+// fault's simulation keeps stepLayer's healthy loop — with spike records
+// equal to a fresh clone's, that the override slices are reused rather
+// than re-made per fault, and that overrides the golden network already
+// carried survive a revert.
+func TestInjectorRevertRestoresOverrideFreeState(t *testing.T) {
+	net := tinyNet(8)
+	stim := denseStim(9, net, 12)
+	want := net.Clone().Run(stim)
+	faults := Enumerate(net, ExtendedOptions())
+
+	inj := NewInjector(net)
+	for _, f := range faults {
+		inj.Apply(f)()
+		if inj.Net().HasFaultOverrides() {
+			t.Fatalf("%v: reverted network still reports fault overrides", f)
+		}
+		got, _ := inj.Scratch().RunFrom(0, nil, stim)
+		for li := range want.Layers {
+			if !tensor.Equal(got.Layers[li], want.Layers[li], 0) {
+				t.Fatalf("%v: layer %d spike record differs from a fresh clone's after revert", f, li)
+			}
+		}
+	}
+	for _, f := range faults {
+		if !f.Kind.IsNeuron() {
+			continue
+		}
+		// One allocation is the revert closure itself.
+		if allocs := testing.AllocsPerRun(5, func() { inj.Apply(f)() }); allocs > 1 {
+			t.Fatalf("%v: Apply+revert allocates %.0f times, want at most the revert closure", f, allocs)
+		}
+	}
+
+	faulty := net.Clone()
+	faulty.Layers[0].SetNeuronMode(1, snn.NeuronDead)
+	inj = NewInjector(faulty)
+	inj.Apply(Fault{Kind: NeuronSaturated, Layer: 0, Neuron: 2})()
+	if l := inj.Net().Layers[0]; l.Modes == nil || l.Modes[1] != snn.NeuronDead || l.Modes[2] != snn.NeuronNormal {
+		t.Fatalf("revert must keep the golden network's own overrides, got modes %v", l.Modes)
 	}
 }
 
@@ -380,5 +425,38 @@ func TestMaxEscapeDrop(t *testing.T) {
 	nDrop, sDrop := MaxEscapeDrop(net, faults, detected, critical, samples, labels)
 	if nDrop < 0 || sDrop != 0 {
 		t.Errorf("escape drops = %g/%g; synapse fault was detected so its drop must be 0", nDrop, sDrop)
+	}
+}
+
+// TestValidateRejectsNonFiniteWeights pins the finite-weight precondition
+// of the event-driven kernels at the campaign boundary: a NaN or ±Inf
+// weight anywhere in the golden network, recurrent R included, is an
+// error naming the tensor and index before any fault is simulated.
+func TestValidateRejectsNonFiniteWeights(t *testing.T) {
+	shd := must(snn.BuildSHD(rand.New(rand.NewSource(12)), snn.ScaleTiny))
+	rec := shd.Layers[0]
+	wLen := rec.Proj.Weights().Len()
+	cases := []struct {
+		net     *snn.Network
+		layer   int
+		synapse int
+		want    string
+	}{
+		{tinyNet(11), 1, 5, `layer "out" W[5]`},
+		{shd, 0, 7, `layer "` + rec.Name + `" W[7]`},
+		{shd, 0, wLen + 2, `layer "` + rec.Name + `" R[2]`},
+	}
+	for _, c := range cases {
+		if err := Validate(c.net, Enumerate(c.net, DefaultOptions())); err != nil {
+			t.Fatalf("finite network rejected: %v", err)
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			net := c.net.Clone()
+			*net.Layers[c.layer].SynapseWeightAt(c.synapse) = bad
+			err := Validate(net, nil)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("weight %v at %s: Validate error %v, want one naming %s", bad, c.want, err, c.want)
+			}
+		}
 	}
 }

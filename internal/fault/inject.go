@@ -14,6 +14,37 @@ type Injector struct {
 	net     *snn.Network
 	satVals []float64 // per-layer saturation magnitude: SaturationFactor·max|w|
 	scratch *snn.Scratch
+	spares  []overrideSpares
+}
+
+// overrideSpares holds one layer's per-neuron override slices while no
+// fault uses them. A neuron fault on a layer without overrides borrows
+// the spare (allocated by the Layer setter on first use); its revert
+// restores the entry, which leaves every entry at its unset sentinel,
+// and hands the slice back. The layer is then override-free again —
+// HasFaultOverrides false, so the next fault's simulation takes
+// stepLayer's healthy loop — and no fault after the first allocates.
+type overrideSpares struct {
+	modes             []snn.NeuronMode
+	thresholds, leaks []float64
+	refracs           []int
+}
+
+// borrow installs the spare in *slot when the layer has no override
+// slice of this kind and reports whether it did. The spare may be nil,
+// in which case the Layer setter allocates a fresh sentinel-filled one.
+func borrow[E any](slot, spare *[]E) bool {
+	if *slot != nil {
+		return false
+	}
+	*slot, *spare = *spare, nil
+	return true
+}
+
+// giveBack detaches a borrowed override slice from the layer and keeps
+// it as the spare for the next fault.
+func giveBack[E any](slot, spare *[]E) {
+	*spare, *slot = *slot, nil
 }
 
 // NewInjector clones the golden network for fault application.
@@ -23,7 +54,7 @@ func NewInjector(golden *snn.Network) *Injector {
 	for i, l := range net.Layers {
 		sat[i] = SaturationFactor * l.MaxAbsWeight()
 	}
-	return &Injector{net: net, satVals: sat}
+	return &Injector{net: net, satVals: sat, spares: make([]overrideSpares, len(net.Layers))}
 }
 
 // Net returns the injector's working network. It reflects the currently
@@ -42,12 +73,15 @@ func (inj *Injector) Scratch() *snn.Scratch {
 }
 
 // Apply injects f into the working network and returns a function that
-// restores the pre-fault state. Exactly one fault should be active at a
-// time.
+// restores the pre-fault state, including the layer's override-free
+// state when the fault was the layer's only override. Exactly one fault
+// should be active at a time.
 func (inj *Injector) Apply(f Fault) (revert func()) {
 	l := inj.net.Layers[f.Layer]
+	sp := &inj.spares[f.Layer]
 	switch f.Kind {
 	case NeuronDead, NeuronSaturated:
+		lent := borrow(&l.Modes, &sp.modes)
 		prev := snn.NeuronNormal
 		if l.Modes != nil {
 			prev = l.Modes[f.Neuron]
@@ -57,17 +91,29 @@ func (inj *Injector) Apply(f Fault) (revert func()) {
 			mode = snn.NeuronSaturated
 		}
 		l.SetNeuronMode(f.Neuron, mode)
-		return func() { l.Modes[f.Neuron] = prev }
+		return func() {
+			l.Modes[f.Neuron] = prev
+			if lent {
+				giveBack(&l.Modes, &sp.modes)
+			}
+		}
 
 	case NeuronThresholdVar:
+		lent := borrow(&l.Thresholds, &sp.thresholds)
 		prev := 0.0
 		if l.Thresholds != nil {
 			prev = l.Thresholds[f.Neuron]
 		}
 		l.SetNeuronThreshold(f.Neuron, l.LIF.Threshold*f.Delta)
-		return func() { l.Thresholds[f.Neuron] = prev }
+		return func() {
+			l.Thresholds[f.Neuron] = prev
+			if lent {
+				giveBack(&l.Thresholds, &sp.thresholds)
+			}
+		}
 
 	case NeuronLeakVar:
+		lent := borrow(&l.Leaks, &sp.leaks)
 		prev := 0.0
 		if l.Leaks != nil {
 			prev = l.Leaks[f.Neuron]
@@ -77,15 +123,26 @@ func (inj *Injector) Apply(f Fault) (revert func()) {
 			leak = 1
 		}
 		l.SetNeuronLeak(f.Neuron, leak)
-		return func() { l.Leaks[f.Neuron] = prev }
+		return func() {
+			l.Leaks[f.Neuron] = prev
+			if lent {
+				giveBack(&l.Leaks, &sp.leaks)
+			}
+		}
 
 	case NeuronRefractoryVar:
+		lent := borrow(&l.Refracs, &sp.refracs)
 		prev := -1
 		if l.Refracs != nil {
 			prev = l.Refracs[f.Neuron]
 		}
 		l.SetNeuronRefractory(f.Neuron, l.LIF.Refractory+int(math.Round(f.Delta)))
-		return func() { l.Refracs[f.Neuron] = prev }
+		return func() {
+			l.Refracs[f.Neuron] = prev
+			if lent {
+				giveBack(&l.Refracs, &sp.refracs)
+			}
+		}
 
 	case SynapseDead, SynapseSatPos, SynapseSatNeg, SynapseBitFlip:
 		w := l.SynapseWeightAt(f.Synapse)

@@ -16,11 +16,16 @@ func failf(format string, args ...any) {
 // knownKind reports whether k is a defined fault kind.
 func knownKind(k Kind) bool { return k <= SynapseBitFlip }
 
-// Validate checks that every fault addresses an existing layer, neuron
-// or synapse of the network and has a known kind. Campaign entry points
-// (Simulate, Classify) call it once before their injection loops so the
-// loops themselves can rely on panic-free injection.
+// Validate checks that the network's weights are finite — the
+// precondition under which the event-driven simulator kernels match the
+// reference path — and that every fault addresses an existing layer,
+// neuron or synapse of the network and has a known kind. Campaign entry
+// points (Simulate, Classify) call it once before their injection loops
+// so the loops themselves can rely on panic-free, exact simulation.
 func Validate(net *snn.Network, faults []Fault) error {
+	if err := net.CheckFiniteWeights(); err != nil {
+		return fmt.Errorf("fault: golden network: %w", err)
+	}
 	for i, f := range faults {
 		if !knownKind(f.Kind) {
 			return fmt.Errorf("fault: fault %d: unknown kind %v", i, f.Kind)

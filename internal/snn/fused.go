@@ -4,20 +4,37 @@ import (
 	"github.com/repro/snntest/internal/tensor"
 )
 
-// Fused LIF step kernels: one pass per (layer, time step) that computes
-// the synaptic currents and the leak→threshold→reset→refractory update,
-// writing spikes straight into the record row. No intermediate tensor is
-// materialized — the per-layer scratch (membrane state, current row,
-// im2col column buffer) is preallocated in NewScratch — so a full
+// Fused, event-driven LIF step kernels: one pass per (layer, time step)
+// that computes the synaptic currents and the leak→threshold→reset→
+// refractory update, writing spikes straight into the record row. Spike
+// rows are mostly zeros, so each kernel first lists the non-zero entries
+// of its input row (tensor.NonZeroIndices, ascending) and accumulates
+// only those: dense and recurrent kernels gather the active columns of
+// each weight row, conv and pool kernels scatter each active input into
+// the outputs it reaches. No intermediate tensor is materialized — the
+// per-layer scratch (membrane state, current row, active-index lists,
+// conv/pool tap tables) is preallocated in NewScratch — so a full
 // Run/RunFrom pass performs zero heap allocations.
 //
 // Every kernel reproduces the reference path (Projection.Forward +
-// stepLayer) bit for bit: per-neuron currents accumulate in the exact
-// floating-point order of MatVec / Conv2D / SumPool2D (see the im2col
-// numerical contract in internal/tensor for the padding zero-sign
-// caveat), and the LIF sweep is the very same stepLayer the reference
-// path runs, so the two paths cannot drift. The equivalence suite and
-// fuzz targets in this package pin the contract.
+// stepLayer) bit for bit, given finite weights:
+//
+//   - Skipping zeros. The reference accumulators start at +0.0 and are
+//     never -0.0 mid-sum (x + y rounds to -0.0 only when both are -0.0),
+//     so each skipped term w·0 = ±0 leaves them unchanged whenever w is
+//     finite. An Inf or NaN weight would turn w·0 into NaN; LoadWeights
+//     and fault.Validate reject such networks.
+//   - Order. Every non-zero term is added in the reference order: dense
+//     and recurrent gathers walk the active columns ascending, as MatVec
+//     does. A conv or pool scatter visits active inputs in raster
+//     (channel, row, column) order, and for any single output that is
+//     exactly the (ic, ky, kx) order of Conv2D's and SumPool2D's loops;
+//     each input reaches each output through at most one tap. Pooling
+//     multiplies by its weight after the sum, as PoolProj.Forward does.
+//
+// The LIF sweep is the very same stepLayer the reference path runs, so
+// the two paths cannot drift. The equivalence suite and fuzz targets in
+// this package pin the contract.
 
 // fusedKind selects a layer's kernel without interface dispatch in the
 // hot loop.
@@ -43,28 +60,90 @@ type layerKernel struct {
 	// measurably slower than the reference MatVec on small layers).
 	cur []float64
 
+	// act and actR hold the active (non-zero) input indices of the
+	// current step: act for the layer's input row, actR for a recurrent
+	// layer's previous spikes. Each is sized to its row's full length.
+	act, actR []int32
+
 	// Weight data views, re-captured from the bound network at every pass
 	// entry: Scratch.Bind may re-point the scratch at a clone whose weight
 	// arrays differ, and fault injection lazily allocates override slices,
 	// so nothing weight- or fault-shaped is cached across passes.
 	w, r []float64
 
-	// Convolution geometry and column scratch.
-	inC, inH, inW int
-	outC, kh, kw  int
-	np, patch     int
-	spec          tensor.ConvSpec
-	col           []float64
+	// Window geometry (conv and pool): input [C, inH, inW], output
+	// [C', oh, ow] with np = oh·ow positions per channel, a patch of
+	// C·kh·kw weights per conv output channel, and per-axis tap tables.
+	inH, inW   int
+	kh, kw     int
+	oh, ow, np int
+	patch      int
+	rows, cols axisTaps
 
-	// Pooling geometry.
-	pk     int
+	// Pooling weight.
 	weight float64
+}
+
+// axisTaps lists, for every input coordinate i along one spatial axis,
+// the window taps that read it: tap t in [start[i], start[i+1]) puts
+// input i under kernel coordinate k[t] of the window at output
+// coordinate o[t]. Built once per kernel, the tables replace the
+// per-spike division and modulo arithmetic of the scatter loops.
+type axisTaps struct {
+	start []int32
+	k, o  []int32
+}
+
+// newAxisTaps builds the tap table of an axis of n inputs under a window
+// of size kn with the given stride and padding and on outputs: input i
+// is read by kernel coordinate kk of output oo exactly when
+// oo·stride − pad + kk = i. Padding coordinates have no input and so no
+// taps, as in Conv2D's clamped loops.
+func newAxisTaps(n, kn, stride, pad, on int) axisTaps {
+	maxTaps := n * ((kn + stride - 1) / stride)
+	a := axisTaps{start: make([]int32, n+1), k: make([]int32, 0, maxTaps), o: make([]int32, 0, maxTaps)}
+	for i := 0; i < n; i++ {
+		a.start[i] = int32(len(a.k))
+		for kk := 0; kk < kn; kk++ {
+			d := i + pad - kk
+			if d >= 0 && d%stride == 0 && d/stride < on {
+				a.k = append(a.k, int32(kk))
+				a.o = append(a.o, int32(d/stride))
+			}
+		}
+	}
+	a.start[n] = int32(len(a.k))
+	return a
+}
+
+// rasterCursor follows ascending flat indices into a [C, h, w] row,
+// tracking the channel c, the row y and the flat index of that row's
+// first column, so the scatter loops locate each active input without
+// dividing. The zero value points at the first row.
+type rasterCursor struct {
+	c, y, row int
+}
+
+// seek advances the cursor to the row holding flat index j (j must not
+// decrease between calls) and returns j's column.
+//
+//snn:hotpath
+func (r *rasterCursor) seek(j, h, w int) int {
+	for j >= r.row+w {
+		r.row += w
+		if r.y++; r.y == h {
+			r.y = 0
+			r.c++
+		}
+	}
+	return j - r.row
 }
 
 // newLayerKernel sizes the fused kernel and its scratch for one layer.
 func newLayerKernel(l *Layer) *layerKernel {
 	k := &layerKernel{nn: l.NumNeurons()}
 	k.cur = make([]float64, k.nn)
+	k.act = make([]int32, flatLen(l.Proj.InShape()))
 	switch p := l.Proj.(type) {
 	case *DenseProj:
 		k.kind = fusedDense
@@ -72,21 +151,28 @@ func newLayerKernel(l *Layer) *layerKernel {
 	case *RecurrentProj:
 		k.kind = fusedRecurrent
 		k.fan = p.W.Dim(1)
+		k.actR = make([]int32, k.nn)
 	case *ConvProj:
 		k.kind = fusedConv
 		in := p.InShape()
-		k.inC, k.inH, k.inW = in[0], in[1], in[2]
-		k.outC, k.kh, k.kw = p.K.Dim(0), p.K.Dim(2), p.K.Dim(3)
-		k.spec = p.Spec
+		k.inH, k.inW = in[1], in[2]
+		k.kh, k.kw = p.K.Dim(2), p.K.Dim(3)
 		out := p.OutShape()
-		k.np = out[1] * out[2]
-		k.patch = k.inC * k.kh * k.kw
-		k.col = make([]float64, tensor.Im2ColLen(k.inC, k.inH, k.inW, k.kh, k.kw, p.Spec))
+		k.oh, k.ow = out[1], out[2]
+		k.np = k.oh * k.ow
+		k.patch = in[0] * k.kh * k.kw
+		k.rows = newAxisTaps(k.inH, k.kh, p.Spec.Stride, p.Spec.Pad, k.oh)
+		k.cols = newAxisTaps(k.inW, k.kw, p.Spec.Stride, p.Spec.Pad, k.ow)
 	case *PoolProj:
 		k.kind = fusedPool
 		in := p.InShape()
-		k.inC, k.inH, k.inW = in[0], in[1], in[2]
-		k.pk = p.KSize
+		k.inH, k.inW = in[1], in[2]
+		out := p.OutShape()
+		k.oh, k.ow = out[1], out[2]
+		// Non-overlapping windows: every input coordinate has exactly
+		// one tap, so start[i] == i and o[i] is its output coordinate.
+		k.rows = newAxisTaps(k.inH, p.KSize, p.KSize, 0, k.oh)
+		k.cols = newAxisTaps(k.inW, p.KSize, p.KSize, 0, k.ow)
 	default:
 		failf("snn: no fused kernel for projection kind %q", l.Proj.Kind())
 	}
@@ -110,84 +196,88 @@ func (k *layerKernel) bind(l *Layer) {
 	}
 }
 
-// step advances the layer by one time step: the synaptic currents are
-// accumulated into the preallocated k.cur scratch row by call-free loops,
-// then the shared stepLayer sweep applies the LIF update and writes the
-// spikes to out. The recurrent kernel reads st.lastSpike while computing
-// currents, and stepLayer only mutates it after every current is already
-// in k.cur — the same ordering the reference path gets by materializing
-// the current tensor before its stepLayer call.
+// step advances the layer by one time step: the synaptic currents of the
+// active inputs are accumulated into the preallocated k.cur scratch row
+// by call-free loops, then the shared stepLayer sweep applies the LIF
+// update and writes the spikes to out. The recurrent kernel lists and
+// reads st.lastSpike while computing currents, and stepLayer only
+// mutates it after every current is already in k.cur — the same ordering
+// the reference path gets by materializing the current tensor before its
+// stepLayer call.
 //
 //snn:hotpath
 func (k *layerKernel) step(l *Layer, st *fastLayerState, in, out []float64) {
 	cur := k.cur
+	act := tensor.NonZeroIndices(k.act, in)
 	switch k.kind {
 	case fusedDense:
-		// Slicing each weight row to exactly len(in) lets the compiler
-		// prove wrow[j] in bounds for every range index — no per-tap
-		// bounds check (the same trick recurs in the other kernels).
 		for i := 0; i < k.nn; i++ {
 			o := i * k.fan
 			wrow := k.w[o : o+len(in)]
 			c := 0.0
-			for j, xv := range in {
-				c += wrow[j] * xv
+			for _, j := range act {
+				c += wrow[j] * in[j]
 			}
 			cur[i] = c
 		}
 	case fusedRecurrent:
 		last := st.lastSpike
+		actR := tensor.NonZeroIndices(k.actR, last)
 		for i := 0; i < k.nn; i++ {
 			o := i * k.fan
 			wrow := k.w[o : o+len(in)]
 			cW := 0.0
-			for j, xv := range in {
-				cW += wrow[j] * xv
+			for _, j := range act {
+				cW += wrow[j] * in[j]
 			}
 			o = i * k.nn
 			rrow := k.r[o : o+len(last)]
 			cR := 0.0
-			for j, lv := range last {
-				cR += rrow[j] * lv
+			for _, j := range actR {
+				cR += rrow[j] * last[j]
 			}
 			cur[i] = cW + cR
 		}
 	case fusedConv:
-		tensor.Im2Col(k.col, in, k.inC, k.inH, k.inW, k.kh, k.kw, k.spec)
-		// Position-outer, channel-inner: each column row is read once and
-		// dotted against every kernel row while it is cache-hot (the whole
-		// kernel fits in L1; the column matrix does not), instead of
-		// re-streaming the column matrix per output channel. Each output
-		// element's accumulation order is unchanged.
-		for p := 0; p < k.np; p++ {
-			co := p * k.patch
-			crow := k.col[co : co+k.patch]
-			for oc := 0; oc < k.outC; oc++ {
-				wo := oc * k.patch
-				wrow := k.w[wo : wo+len(crow)]
-				c := 0.0
-				for j, cv := range crow {
-					c += wrow[j] * cv
-				}
-				cur[oc*k.np+p] = c
-			}
-		}
+		k.convScatter(in, act)
 	case fusedPool:
-		oh, ow := k.inH/k.pk, k.inW/k.pk
-		for ci := 0; ci < k.inC; ci++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					c := 0.0
-					for ky := 0; ky < k.pk; ky++ {
-						row := in[(ci*k.inH+oy*k.pk+ky)*k.inW : (ci*k.inH+oy*k.pk+ky+1)*k.inW]
-						for kx := 0; kx < k.pk; kx++ {
-							c += row[ox*k.pk+kx]
-						}
-					}
-					cur[(ci*oh+oy)*ow+ox] = c * k.weight
+		clear(cur)
+		var rc rasterCursor
+		for _, a := range act {
+			ix := rc.seek(int(a), k.inH, k.inW)
+			cur[(rc.c*k.oh+int(k.rows.o[rc.y]))*k.ow+int(k.cols.o[ix])] += in[a]
+		}
+		for i := range cur {
+			cur[i] *= k.weight
+		}
+	}
+	stepLayer(l, st, cur, out)
+}
+
+// convScatter accumulates the convolution currents of the active inputs
+// into k.cur: each active input (ic, iy, ix) adds its weighted value to
+// every output (oc, oy, ox) whose window covers it, visiting the row and
+// column taps from the precomputed axis tables.
+//
+//snn:hotpath
+func (k *layerKernel) convScatter(in []float64, act []int32) {
+	cur := k.cur
+	clear(cur)
+	rows, cols := &k.rows, &k.cols
+	var rc rasterCursor
+	for _, a := range act {
+		ix := rc.seek(int(a), k.inH, k.inW)
+		x := in[a]
+		for ty := rows.start[rc.y]; ty < rows.start[rc.y+1]; ty++ {
+			wrow := (rc.c*k.kh + int(rows.k[ty])) * k.kw
+			orow := int(rows.o[ty]) * k.ow
+			for tx := cols.start[ix]; tx < cols.start[ix+1]; tx++ {
+				wo := wrow + int(cols.k[tx])
+				for o := orow + int(cols.o[tx]); o < len(cur); o += k.np {
+					cur[o] += k.w[wo] * x
+					wo += k.patch
 				}
 			}
 		}
 	}
-	stepLayer(l, st, cur, out)
 }

@@ -1,6 +1,7 @@
 package snn
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -41,19 +42,19 @@ func runBoth(start int, golden *Record, net *Network, stim *tensor.Tensor) (fuse
 }
 
 // requireBitIdentical asserts spike records and membrane traces agree
-// elementwise under == (which treats -0.0 and +0.0 as equal — the only
-// divergence the im2col contract permits, and only in membrane values).
+// bit for bit — +0.0 and -0.0 included, since the event-driven kernels
+// add exactly the reference path's non-zero terms in its order.
 func requireBitIdentical(t *testing.T, net *Network, fused, ref *Scratch, frec, rrec *Record, ctx string) {
 	t.Helper()
 	for li := range net.Layers {
 		fd, rd := frec.Layers[li].Data(), rrec.Layers[li].Data()
 		for i := range rd {
-			if fd[i] != rd[i] {
+			if math.Float64bits(fd[i]) != math.Float64bits(rd[i]) {
 				t.Fatalf("%s: layer %d spike[%d]: fused %g, reference %g", ctx, li, i, fd[i], rd[i])
 			}
 		}
 		for i := range ref.states[li].u {
-			if fused.states[li].u[i] != ref.states[li].u[i] {
+			if math.Float64bits(fused.states[li].u[i]) != math.Float64bits(ref.states[li].u[i]) {
 				t.Fatalf("%s: layer %d membrane[%d]: fused %g, reference %g",
 					ctx, li, i, fused.states[li].u[i], ref.states[li].u[i])
 			}
@@ -298,4 +299,105 @@ func TestStepLayerHealthyMatchesOverrides(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzFusedConvPool differentiates the event-driven conv and pool
+// kernels against the reference Conv2D/SumPool2D path over arbitrary
+// geometry — 1–3 input and output channels, 1–9 rows and columns,
+// kernels 1–4, stride 1–3, padding 0–2 — with a pool layer on the conv
+// output, or (poolFirst) on the stimulus so that its sums see
+// non-binary values too, plus fault injections on either layer and
+// stimuli from silent to saturated. Stimuli need not be binary: active
+// entries may be 0.5, 2 or a mix of signed, inexact and large values,
+// and silent entries may be -0.0.
+func FuzzFusedConvPool(f *testing.F) {
+	f.Add(int64(1), false, byte(1), byte(5), byte(6), byte(2), byte(0), byte(0), byte(0), byte(30), byte(0), byte(6), byte(0), byte(0))
+	f.Add(int64(2), true, byte(4), byte(8), byte(7), byte(2), byte(2), byte(2), byte(1), byte(50), byte(3), byte(9), byte(1), byte(4))
+	f.Fuzz(func(t *testing.T, seed int64, poolFirst bool, chans, hB, wB, kB, strideB, padB, poolB, density, valueB, stepsB, faultKind, faultPos byte) {
+		rng := rand.New(rand.NewSource(seed))
+		inC, outC := 1+int(chans)%3, 1+int(chans/3)%3
+		k, stride, pad := 1+int(kB)%4, 1+int(strideB)%3, int(padB)%3
+		// Keep the padded conv input at least one kernel wide.
+		h := max(1+int(hB)%9, k-2*pad)
+		w := max(1+int(wB)%9, k-2*pad)
+		kernel := tensor.RandNormal(rng, 0.1, 0.8, outC, inC, k, k)
+		spec := tensor.ConvSpec{Stride: stride, Pad: pad}
+		poolWeight := 0.2 + rng.Float64()
+		var conv *ConvProj
+		var layers []*Layer
+		inShape := []int{inC, h, w}
+		if poolFirst {
+			pk := 1 + int(poolB)%3
+			inShape = []int{inC, h * pk, w * pk}
+			conv = must(NewConvProj(kernel, []int{inC, h, w}, spec))
+			layers = []*Layer{
+				must(NewLayer("pool", must(NewPoolProj(inShape, pk, poolWeight)), DefaultLIF())),
+				must(NewLayer("conv", conv, DefaultLIF())),
+			}
+		} else {
+			conv = must(NewConvProj(kernel, inShape, spec))
+			out := conv.OutShape()
+			var windows []int
+			for d := 1; d <= min(out[1], out[2]); d++ {
+				if out[1]%d == 0 && out[2]%d == 0 {
+					windows = append(windows, d)
+				}
+			}
+			layers = []*Layer{
+				must(NewLayer("conv", conv, DefaultLIF())),
+				must(NewLayer("pool", must(NewPoolProj(out, windows[int(poolB)%len(windows)], poolWeight)), DefaultLIF())),
+			}
+		}
+		net := must(NewNetwork("fuzz-conv", inShape, 1.0, layers...))
+		ci := 0
+		if poolFirst {
+			ci = 1
+		}
+
+		li := int(faultPos) % 2
+		ni := int(faultPos) % net.Layers[li].NumNeurons()
+		switch faultKind % 8 {
+		case 1:
+			net.Layers[li].SetNeuronMode(ni, NeuronDead)
+		case 2:
+			net.Layers[li].SetNeuronMode(ni, NeuronSaturated)
+		case 3:
+			net.Layers[li].SetNeuronThreshold(ni, float64(faultPos)/20)
+		case 4:
+			net.Layers[li].SetNeuronLeak(ni, float64(faultPos%10)/10)
+		case 5:
+			net.Layers[li].SetNeuronRefractory(ni, int(faultPos)%4)
+		case 6:
+			*net.Layers[ci].SynapseWeightAt(int(faultPos) % conv.NumSynapses()) = 0
+		case 7:
+			*net.Layers[ci].SynapseWeightAt(int(faultPos) % conv.NumSynapses()) = 8
+		}
+
+		steps := int(stepsB)%12 + 1
+		stim := tensor.New(append([]int{steps}, net.InShape...)...)
+		p := float64(density%101) / 100
+		vrng := rand.New(rand.NewSource(seed + 9))
+		// Inexact and wide-ranging values make the sum order observable.
+		mixed := []float64{0.5, 2, -1, 0.1, -0.7, 3e15}
+		for i, d := 0, stim.Data(); i < len(d); i++ {
+			if vrng.Float64() >= p {
+				if valueB%4 == 3 && vrng.Intn(2) == 0 {
+					d[i] = math.Copysign(0, -1)
+				}
+				continue
+			}
+			switch valueB % 4 {
+			case 0:
+				d[i] = 1
+			case 1:
+				d[i] = 0.5
+			case 2:
+				d[i] = 2
+			case 3:
+				d[i] = mixed[vrng.Intn(len(mixed))]
+			}
+		}
+		fused, ref, frec, rrec := runBoth(0, nil, net, stim)
+		requireBitIdentical(t, net, fused, ref, frec, rrec, "fuzz-conv")
+	})
 }

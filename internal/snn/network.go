@@ -183,8 +183,8 @@ func (st *fastLayerState) reset() {
 }
 
 // Scratch holds reusable simulation state — per-layer membrane/refractory
-// buffers, fused kernels with their column scratch, and spike-record
-// storage — so repeated Run/RunFrom calls (a fault-simulation campaign
+// buffers, fused kernels with their active-index lists and tap tables,
+// and spike-record storage — so repeated Run/RunFrom calls (a fault-simulation campaign
 // simulates one run per fault) allocate nothing per run. A Scratch belongs
 // to one goroutine; the record returned by its RunFrom is overwritten by
 // the next call.

@@ -2,7 +2,9 @@ package snn
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	ag "github.com/repro/snntest/internal/autograd"
@@ -269,5 +271,42 @@ func TestLoadWeightsRejectsMismatch(t *testing.T) {
 	}
 	if err := a.LoadWeights(&buf); err == nil {
 		t.Error("loading mismatched weights must fail")
+	}
+}
+
+// TestLoadWeightsRejectsNonFinite pins the finite-weight precondition of
+// the event-driven kernels at the file boundary: a NaN or ±Inf weight in
+// any tensor — conv kernel, recurrent W or R — is an error naming the
+// tensor and index, and the rejected file leaves the network untouched.
+func TestLoadWeightsRejectsNonFinite(t *testing.T) {
+	for _, build := range []func(int64) *Network{testNet, recurrentNet} {
+		for ti := range build(0).weightTensors() {
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				src := build(26)
+				wt := src.weightTensors()[ti]
+				wt.data[3] = bad
+				var buf bytes.Buffer
+				if err := src.SaveWeights(&buf); err != nil {
+					t.Fatal(err)
+				}
+				dst := build(27)
+				before := dst.Clone()
+				err := dst.LoadWeights(&buf)
+				if err == nil {
+					t.Fatalf("%s: loading a %v weight must fail", wt.name(), bad)
+				}
+				if want := wt.name() + "[3]"; !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not name %s", err, want)
+				}
+				if dst.CheckFiniteWeights() != nil {
+					t.Fatalf("%s: rejected file left a non-finite weight behind", wt.name())
+				}
+				for i, w := range dst.weightTensors() {
+					if !tensor.Equal(tensor.FromSlice(w.data, len(w.data)), tensor.FromSlice(before.weightTensors()[i].data, len(w.data)), 0) {
+						t.Fatalf("%s: rejected file modified %s", wt.name(), w.name())
+					}
+				}
+			}
+		}
 	}
 }

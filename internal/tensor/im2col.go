@@ -129,8 +129,9 @@ func Conv2DColInto(out, col []float64, w *Tensor) {
 // Conv2DIm2Col computes the same cross-correlation as Conv2D through an
 // explicit column matrix. It allocates its own buffers and exists as the
 // self-contained, reference-comparable form of the im2col path (the fuzz
-// harness differentiates it against the naive Conv2D); the simulator's
-// zero-alloc hot path calls Im2Col + Conv2DColInto over reused scratch.
+// harness differentiates it against the naive Conv2D); the arena-backed
+// Conv2D of the fast generation engine calls Im2Col + Conv2DColInto over
+// arena scratch.
 func Conv2DIm2Col(x, w *Tensor, spec ConvSpec) *Tensor {
 	if x.Rank() != 3 || w.Rank() != 4 {
 		failf("Conv2DIm2Col requires input rank 3 and kernel rank 4, got %v and %v", x.shape, w.shape)

@@ -185,6 +185,29 @@ func AddScaledInPlace(dst *Tensor, s float64, src *Tensor) {
 	}
 }
 
+// NonZeroIndices writes the indices of x's non-zero entries into idx in
+// ascending order and returns idx[:n] for the n entries found; idx must
+// hold at least len(x) entries. It is the active-input scan of the
+// event-driven simulator kernels: -0.0 counts as zero and NaN as
+// non-zero, so the skipped entries are exactly those whose product with
+// a finite weight is a signed zero. Indices are int32 to halve the
+// buffer's footprint; simulator rows are far below 2³¹ entries.
+//
+//snn:hotpath
+func NonZeroIndices(idx []int32, x []float64) []int32 {
+	if len(idx) < len(x) {
+		failf("NonZeroIndices buffer length %d is shorter than input length %d", len(idx), len(x))
+	}
+	n := 0
+	for j, v := range x {
+		if v != 0 {
+			idx[n] = int32(j)
+			n++
+		}
+	}
+	return idx[:n]
+}
+
 // Apply returns f applied elementwise to a.
 func Apply(a *Tensor, f func(float64) float64) *Tensor {
 	out := NewLike(a, a.shape...)

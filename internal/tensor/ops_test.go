@@ -111,3 +111,29 @@ func TestApply(t *testing.T) {
 		t.Errorf("Apply = %v", got)
 	}
 }
+
+// TestNonZeroIndices pins the active-input scan's contract: ascending
+// indices, -0.0 counted as zero, NaN and non-binary values counted as
+// active, and a panic on a buffer shorter than the row.
+func TestNonZeroIndices(t *testing.T) {
+	x := []float64{0, 1, math.Copysign(0, -1), 0.5, math.NaN(), 0, -2}
+	got := NonZeroIndices(make([]int32, len(x)), x)
+	want := []int32{1, 3, 4, 6}
+	if len(got) != len(want) {
+		t.Fatalf("NonZeroIndices = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("NonZeroIndices = %v, want %v", got, want)
+		}
+	}
+	if n := len(NonZeroIndices(make([]int32, 3), make([]float64, 3))); n != 0 {
+		t.Fatalf("silent row has %d active entries", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a buffer shorter than the row must panic")
+		}
+	}()
+	NonZeroIndices(make([]int32, 2), x)
+}

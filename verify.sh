@@ -25,12 +25,19 @@ go test -run GradCheck ./internal/autograd/
 # Generate→Compact→fault-classification pipeline golden — and must
 # survive repeated runs bit-identically.
 go test -run Equiv -count=2 ./...
-# Kernel gate: the fused forward path must stay allocation-free across a
-# whole Run/RunFrom pass (the AllocsPerRun tests fail on any regression),
-# and the stale-scratch geometry guard plus the healthy-layer fast loop
-# must keep rejecting/bit-matching as documented. The fused-vs-reference
-# equivalence suite itself already runs under the Equiv gate above.
+# Kernel gate: the fused forward kernels are event-driven — each
+# accumulates only the non-zero entries of its input row — and must stay
+# allocation-free across a whole Run/RunFrom pass (the AllocsPerRun tests
+# fail on any regression), and the stale-scratch geometry guard plus the
+# healthy-layer fast loop must keep rejecting/bit-matching as documented.
+# The fused-vs-reference equivalence suite itself already runs under the
+# Equiv gate above.
 go test -run 'ZeroAlloc|TestScratch|TestStepLayer' ./internal/snn/
+# Fuzz smoke: ten seconds of coverage-guided differential fuzzing per
+# fused-kernel target (dense/recurrent, and conv/pool over random
+# geometry and non-binary stimuli) beyond their committed seed corpora.
+go test -run '^$' -fuzz '^FuzzFusedLIF$' -fuzztime 10s ./internal/snn/
+go test -run '^$' -fuzz '^FuzzFusedConvPool$' -fuzztime 10s ./internal/snn/
 # Observability gate: the obs layer must be race-clean (spans and
 # counters are hit from every campaign/generation worker), and the
 # quickstart trace tests assert that a -trace run emits parseable JSONL
