@@ -14,7 +14,6 @@
 package snntest
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -29,25 +28,9 @@ import (
 	"github.com/repro/snntest/internal/experiments"
 	"github.com/repro/snntest/internal/fault"
 	"github.com/repro/snntest/internal/lint"
-	"github.com/repro/snntest/internal/obs"
 	"github.com/repro/snntest/internal/snn"
 	"github.com/repro/snntest/internal/tensor"
 )
-
-// appendTrajectory records one bench artifact's headline numbers in the
-// cumulative BENCH_trajectory.json history (BENCH_TRAJECTORY_OUT
-// overrides the path), keyed by git revision and timestamp.
-func appendTrajectory(b *testing.B, source string, metrics map[string]float64) {
-	b.Helper()
-	out := os.Getenv("BENCH_TRAJECTORY_OUT")
-	if out == "" {
-		out = "BENCH_trajectory.json"
-	}
-	if err := obs.AppendTrajectory(out, obs.NewTrajectoryRecord(source, metrics)); err != nil {
-		b.Fatal(err)
-	}
-	fmt.Printf("trajectory record (%s) appended to %s\n\n", source, out)
-}
 
 // benchOpts is the shared tiny-scale configuration of the bench harness.
 func benchOpts() experiments.Options {
@@ -307,17 +290,6 @@ func BenchmarkAblationDirectFC(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Substrate micro-benchmarks
 
-// forwardBenchRow is one fixture's entry in BENCH_forward.json.
-type forwardBenchRow struct {
-	Benchmark         string  `json:"benchmark"`
-	Steps             int     `json:"steps"`
-	FusedUS           float64 `json:"fused_us"`
-	ReferenceUS       float64 `json:"reference_us"`
-	SpeedupX          float64 `json:"speedup_x"`
-	FusedAllocsPerRun float64 `json:"fused_allocs_per_run"`
-	BitIdentical      bool    `json:"bit_identical"`
-}
-
 // interleavedPair times fused and ref strictly alternately for the given
 // wall-clock window and returns each side's total divided by the pair
 // count. Alternating at single-run granularity makes the ratio robust to
@@ -342,8 +314,8 @@ func interleavedPair(window time.Duration, fused, ref func()) (tFused, tRef time
 // against the retained reference path (Scratch.SetReference) on every
 // fixture network: per-pass wall clock, an AllocsPerRun gate pinning the
 // fused full-pass at zero heap allocations, and bit-identity of the spike
-// records. Asserts fused speedup ≥ 1.4× per fixture and writes
-// BENCH_forward.json (override the path with BENCH_FORWARD_OUT).
+// records. Asserts fused speedup ≥ 1.4× per fixture and reports each
+// fixture's fused and reference µs/pass and speedup as benchmark metrics.
 func BenchmarkForwardFused(b *testing.B) {
 	const steps = 50
 	rng := rand.New(rand.NewSource(1))
@@ -367,20 +339,15 @@ func BenchmarkForwardFused(b *testing.B) {
 	}
 	b.StopTimer()
 
-	rows := make([]forwardBenchRow, 0, len(fixtures))
 	for _, fx := range fixtures {
 		fused, ref := fx.net.NewScratch(), fx.net.NewScratch()
 		ref.SetReference(true)
 		frec, _ := fused.RunFrom(0, nil, fx.stim)
 		rrec, _ := ref.RunFrom(0, nil, fx.stim)
-		identical := true
 		for li := range fx.net.Layers {
 			if !tensor.Equal(frec.Layers[li], rrec.Layers[li], 0) {
-				identical = false
+				b.Fatalf("%s: fused record differs from reference at layer %d", fx.name, li)
 			}
-		}
-		if !identical {
-			b.Fatalf("%s: fused record differs from reference", fx.name)
 		}
 		allocs := testing.AllocsPerRun(10, func() { fused.RunFrom(0, nil, fx.stim) })
 		if allocs != 0 {
@@ -404,36 +371,10 @@ func BenchmarkForwardFused(b *testing.B) {
 			b.Fatalf("%s: fused forward speedup %.2fx, want >= 1.4x (fused %v, reference %v)",
 				fx.name, speedup, tFused, tRef)
 		}
-		rows = append(rows, forwardBenchRow{
-			Benchmark:         fx.name,
-			Steps:             steps,
-			FusedUS:           float64(tFused.Nanoseconds()) / 1e3,
-			ReferenceUS:       float64(tRef.Nanoseconds()) / 1e3,
-			SpeedupX:          speedup,
-			FusedAllocsPerRun: allocs,
-			BitIdentical:      identical,
-		})
+		b.ReportMetric(float64(tFused.Nanoseconds())/1e3, fx.name+"-fused-us/pass")
+		b.ReportMetric(float64(tRef.Nanoseconds())/1e3, fx.name+"-reference-us/pass")
+		b.ReportMetric(speedup, fx.name+"-speedup-x")
 	}
-	printArtifact("forward-json", func() {
-		out := os.Getenv("BENCH_FORWARD_OUT")
-		if out == "" {
-			out = "BENCH_forward.json"
-		}
-		data, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-		metrics := map[string]float64{}
-		for _, row := range rows {
-			metrics[row.Benchmark+"_speedup_x"] = row.SpeedupX
-			metrics[row.Benchmark+"_fused_us"] = row.FusedUS
-		}
-		fmt.Printf("fused forward timing written to %s\n\n", out)
-		appendTrajectory(b, "bench:forward", metrics)
-	})
 }
 
 // BenchmarkForwardGraphBPTT times one optimization step of the
@@ -461,115 +402,12 @@ func BenchmarkForwardGraphBPTT(b *testing.B) {
 	}
 }
 
-func BenchmarkFaultSimulationCampaign(b *testing.B) {
-	p := pipelines(b)["shd"]
-	faults := p.Faults()
-	stim := tensor.RandBernoulli(rand.New(rand.NewSource(3)), 0.3,
-		append([]int{30}, p.Net.InShape...)...)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fault.Simulate(p.Net, faults, stim, 0, nil)
-	}
-	b.ReportMetric(float64(len(faults)), "faults")
-}
-
-// campaignBenchRow is one benchmark's entry in BENCH_campaign.json.
-type campaignBenchRow struct {
-	Benchmark              string  `json:"benchmark"`
-	Faults                 int     `json:"faults"`
-	SimLayerSteps          int64   `json:"sim_layer_steps"`
-	SimFullLayerSteps      int64   `json:"sim_full_layer_steps"`
-	SimSavingsX            float64 `json:"sim_savings_x"`
-	ClassifyLayerSteps     int64   `json:"classify_layer_steps"`
-	ClassifyFullLayerSteps int64   `json:"classify_full_layer_steps"`
-	ClassifySavingsX       float64 `json:"classify_savings_x"`
-}
-
-// BenchmarkCampaignIncremental times the incremental (golden-trace
-// replay + early exit) fault-simulation campaign across the three tiny
-// pipelines and emits the simulated-layer-step counters — the work saved
-// versus full re-simulation — to BENCH_campaign.json (override the path
-// with BENCH_CAMPAIGN_OUT). The layerstep-x metric is the aggregate
-// full/incremental work ratio.
-func BenchmarkCampaignIncremental(b *testing.B) {
-	ps := pipelines(b)
-	stims := map[string]*tensor.Tensor{}
-	for i, name := range experiments.Benchmarks {
-		stims[name] = tensor.RandBernoulli(rand.New(rand.NewSource(int64(20+i))), 0.3,
-			append([]int{30}, ps[name].Net.InShape...)...)
-	}
-	var results map[string]*fault.SimResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results = map[string]*fault.SimResult{}
-		for _, name := range experiments.Benchmarks {
-			results[name] = must(fault.Simulate(ps[name].Net, ps[name].Faults(), stims[name], 0, nil))
-		}
-	}
-	b.StopTimer()
-	var steps, fullSteps int64
-	for _, r := range results {
-		steps += r.LayerSteps
-		fullSteps += r.FullLayerSteps
-	}
-	b.ReportMetric(float64(fullSteps)/float64(steps), "layerstep-x")
-	printArtifact("campaign-json", func() {
-		rows := make([]campaignBenchRow, 0, len(experiments.Benchmarks))
-		for _, name := range experiments.Benchmarks {
-			p, r := ps[name], results[name]
-			testIn, _ := p.Data.Inputs("test")
-			cls := must(fault.ClassifyWith(p.Net, p.Faults(), testIn, fault.CampaignOptions{}))
-			rows = append(rows, campaignBenchRow{
-				Benchmark:              name,
-				Faults:                 len(p.Faults()),
-				SimLayerSteps:          r.LayerSteps,
-				SimFullLayerSteps:      r.FullLayerSteps,
-				SimSavingsX:            float64(r.FullLayerSteps) / float64(r.LayerSteps),
-				ClassifyLayerSteps:     cls.LayerSteps,
-				ClassifyFullLayerSteps: cls.FullLayerSteps,
-				ClassifySavingsX:       float64(cls.FullLayerSteps) / float64(cls.LayerSteps),
-			})
-		}
-		out := os.Getenv("BENCH_CAMPAIGN_OUT")
-		if out == "" {
-			out = "BENCH_campaign.json"
-		}
-		data, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-		fmt.Printf("campaign layer-step counters written to %s\n\n", out)
-		metrics := map[string]float64{
-			"layerstep_x": float64(fullSteps) / float64(steps),
-		}
-		for _, row := range rows {
-			metrics[row.Benchmark+"_sim_savings_x"] = row.SimSavingsX
-			metrics[row.Benchmark+"_classify_savings_x"] = row.ClassifySavingsX
-		}
-		appendTrajectory(b, "bench:campaign", metrics)
-	})
-}
-
-// generateBenchRow is one BENCH_generate.json record comparing the
-// reference engine at one worker against the fast engine at four.
-type generateBenchRow struct {
-	Benchmark     string  `json:"benchmark"`
-	Restarts      int     `json:"restarts"`
-	Cores         int     `json:"cores"`
-	ReferenceW1MS float64 `json:"reference_w1_ms"`
-	FastW4MS      float64 `json:"fast_w4_ms"`
-	SpeedupX      float64 `json:"speedup_x"`
-	BitIdentical  bool    `json:"bit_identical"`
-}
-
 // generateEngines runs one fixture's Restarts=4 generation on both
 // engines — reference at one worker, fast at four — taking the faster of
 // two timed runs each, asserts the stimuli and loss traces are
-// bit-identical across engines and worker counts, and returns the row.
-func generateEngines(b *testing.B, name string, p *experiments.Pipeline) generateBenchRow {
+// bit-identical across engines and worker counts, and returns both
+// timings.
+func generateEngines(b *testing.B, name string, p *experiments.Pipeline) (tRef, tFast time.Duration) {
 	b.Helper()
 	gen := func(reference bool, workers int) (*core.Result, time.Duration) {
 		cfg := p.Opts.GenConfig
@@ -604,15 +442,7 @@ func generateEngines(b *testing.B, name string, p *experiments.Pipeline) generat
 			}
 		}
 	}
-	return generateBenchRow{
-		Benchmark:     name,
-		Restarts:      4,
-		Cores:         runtime.GOMAXPROCS(0),
-		ReferenceW1MS: float64(tRef.Microseconds()) / 1e3,
-		FastW4MS:      float64(tFast.Microseconds()) / 1e3,
-		SpeedupX:      float64(tRef) / float64(tFast),
-		BitIdentical:  true,
-	}
+	return tRef, tFast
 }
 
 // BenchmarkGenerateRestarts compares the two generation engines on every
@@ -620,9 +450,7 @@ func generateEngines(b *testing.B, name string, p *experiments.Pipeline) generat
 // baseline — per-iteration allocation, composed graph ops, naive kernels)
 // at one worker against the fast engine (arena + fused ops + im2col) at
 // four, asserting bit-identical stimuli and loss traces across engines
-// and worker counts and an aggregate wall-clock speedup ≥ 2×. Rows per
-// fixture plus the asserted aggregate go to BENCH_generate.json (override
-// the path with BENCH_GENERATE_OUT).
+// and worker counts and an aggregate wall-clock speedup ≥ 2×.
 func BenchmarkGenerateRestarts(b *testing.B) {
 	ps := pipelines(b)
 	nm := ps["nmnist"]
@@ -636,55 +464,19 @@ func BenchmarkGenerateRestarts(b *testing.B) {
 	}
 	b.StopTimer()
 
-	rows := make([]generateBenchRow, 0, len(experiments.Benchmarks)+1)
-	var refMS, fastMS float64
+	var tRef, tFast time.Duration
 	for _, name := range experiments.Benchmarks {
-		row := generateEngines(b, name, ps[name])
-		refMS += row.ReferenceW1MS
-		fastMS += row.FastW4MS
-		rows = append(rows, row)
+		r, f := generateEngines(b, name, ps[name])
+		tRef += r
+		tFast += f
 	}
-	aggregate := refMS / fastMS
-	rows = append(rows, generateBenchRow{
-		Benchmark:     "aggregate",
-		Restarts:      4,
-		Cores:         runtime.GOMAXPROCS(0),
-		ReferenceW1MS: refMS,
-		FastW4MS:      fastMS,
-		SpeedupX:      aggregate,
-		BitIdentical:  true,
-	})
+	aggregate := float64(tRef) / float64(tFast)
 	if aggregate < 2 {
-		b.Fatalf("fast engine speedup %.2fx across fixtures, want >= 2x (reference %.0fms, fast %.0fms)",
-			aggregate, refMS, fastMS)
+		b.Fatalf("fast engine speedup %.2fx across fixtures, want >= 2x (reference %v, fast %v)",
+			aggregate, tRef.Round(time.Millisecond), tFast.Round(time.Millisecond))
 	}
 	b.ReportMetric(aggregate, "speedup-x")
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
-	printArtifact("generate-json", func() {
-		out := os.Getenv("BENCH_GENERATE_OUT")
-		if out == "" {
-			out = "BENCH_generate.json"
-		}
-		data, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-		fmt.Printf("engine timing written to %s (aggregate speedup %.2fx on %d core(s))\n\n",
-			out, aggregate, runtime.GOMAXPROCS(0))
-		metrics := map[string]float64{
-			"reference_w1_ms": refMS,
-			"fast_w4_ms":      fastMS,
-			"speedup_x":       aggregate,
-			"cores":           float64(runtime.GOMAXPROCS(0)),
-		}
-		for _, row := range rows[:len(rows)-1] {
-			metrics[row.Benchmark+"_speedup_x"] = row.SpeedupX
-		}
-		appendTrajectory(b, "bench:generate", metrics)
-	})
 }
 
 // nopWriter discards figure output in timed loops.
@@ -732,27 +524,12 @@ func BenchmarkExtendedFaultModel(b *testing.B) {
 	b.ReportMetric(100*float64(detected)/float64(len(extended)), "fc%")
 }
 
-// lintBenchRow is the BENCH_lint.json record of the snnlint driver's
-// wall-clock at each operating point: serial cold, parallel cold, and
-// parallel with a warm content-hash cache.
-type lintBenchRow struct {
-	Packages       int     `json:"packages"`
-	Analyzers      int     `json:"analyzers"`
-	Workers        int     `json:"workers"`
-	SerialColdMS   float64 `json:"serial_cold_ms"`
-	ParallelColdMS float64 `json:"parallel_cold_ms"`
-	WarmCachedMS   float64 `json:"warm_cached_ms"`
-	ParallelX      float64 `json:"parallel_x"`
-	CachedX        float64 `json:"cached_x"`
-}
-
 // BenchmarkLintDriver times the static-analysis driver over the whole
 // module: the timed loop is the warm-cache incremental path (the
 // editor/CI steady state), and the one-shot serial-cold versus
-// parallel-cold versus warm comparison is written to BENCH_lint.json
-// (override the path with BENCH_LINT_OUT). cached_x is the headline the
-// driver exists for: warm incremental runs versus a from-scratch serial
-// walk.
+// parallel-cold versus warm comparison is reported as parallel-x and
+// cached-x. cached-x is the headline the driver exists for: warm
+// incremental runs versus a from-scratch serial walk.
 func BenchmarkLintDriver(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	time1 := func(opts lint.Options) (*lint.Result, time.Duration) {
@@ -781,39 +558,6 @@ func BenchmarkLintDriver(b *testing.B) {
 		b.Fatalf("warm diagnostics diverge from serial: %d vs %d",
 			len(resWarm.Diagnostics), len(resSerial.Diagnostics))
 	}
-	row := lintBenchRow{
-		Packages:       resWarm.Stats.Packages,
-		Analyzers:      len(lint.All()),
-		Workers:        workers,
-		SerialColdMS:   float64(tSerial.Microseconds()) / 1e3,
-		ParallelColdMS: float64(tParallel.Microseconds()) / 1e3,
-		WarmCachedMS:   float64(tWarm.Microseconds()) / 1e3,
-		ParallelX:      float64(tSerial) / float64(tParallel),
-		CachedX:        float64(tSerial) / float64(tWarm),
-	}
-	b.ReportMetric(row.ParallelX, "parallel-x")
-	b.ReportMetric(row.CachedX, "cached-x")
-	printArtifact("lint-json", func() {
-		out := os.Getenv("BENCH_LINT_OUT")
-		if out == "" {
-			out = "BENCH_lint.json"
-		}
-		data, err := json.MarshalIndent(row, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-		fmt.Printf("lint driver timing written to %s (parallel %.2fx, warm cache %.2fx over serial cold)\n\n",
-			out, row.ParallelX, row.CachedX)
-		appendTrajectory(b, "bench:lint", map[string]float64{
-			"packages":         float64(row.Packages),
-			"serial_cold_ms":   row.SerialColdMS,
-			"parallel_cold_ms": row.ParallelColdMS,
-			"warm_cached_ms":   row.WarmCachedMS,
-			"parallel_x":       row.ParallelX,
-			"cached_x":         row.CachedX,
-		})
-	})
+	b.ReportMetric(float64(tSerial)/float64(tParallel), "parallel-x")
+	b.ReportMetric(float64(tSerial)/float64(tWarm), "cached-x")
 }

@@ -4,20 +4,12 @@
 // Usage:
 //
 //	benchreport [-scale tiny|small|full] [-seed N] [-workers N] [-epochs N]
-//	            [-table 1|2|3|4] [-fig 7|8|9] [-ablations] [-forward] [-all]
+//	            [-table 1|2|3|4] [-fig 7|8|9] [-ablations] [-all]
 //	            [-bench nmnist,ibm-gesture,shd] [-v|-quiet] [-out report.txt]
-//	            [-obs] [-manifest BENCH_manifest.json]
-//	            [-trajectory BENCH_trajectory.json] [-trace out.jsonl]
+//	            [-obs] [-manifest BENCH_manifest.json] [-trace out.jsonl]
 //	            [-serve :9090] [-profile-dir DIR]
-//	            [-check] [-check-window N] [-check-min N] [-check-tol F]
 //	            [-profile cpu.pprof] [-profile-out BENCH_profile.json]
 //	            [-profile-min-labeled F] [-profile-kernel-min F]
-//
-// -check runs the perf-regression sentinel instead of the report: the
-// latest trajectory record of every source has its ratio (*_x) metrics
-// compared against the median of its prior same-source records, and any
-// drop beyond the tolerance exits nonzero. verify.sh and CI invoke it
-// so benchmark ratios cannot silently decay across revisions.
 //
 // -profile analyzes a pprof CPU profile captured with phase labelling
 // on (any -profile-dir run, or /debug/pprof/profile): the samples are
@@ -32,30 +24,24 @@
 // selected benchmark; Table IV and the figures follow the paper's choices
 // (Table IV on NMNIST, Figs. 7–9 on the IBM model).
 //
-// -obs enables the observability counters for the run, writes a run
-// manifest (git revision, configuration, counter totals) next to the
-// BENCH_*.json artifacts, and appends the run to the cumulative
-// BENCH_trajectory.json history (-trajectory overrides the path), so
-// benchmark numbers stay attributable to the exact run that produced
-// them and comparable across revisions.
+// -obs enables the observability counters for the run and writes a run
+// manifest (git revision, configuration, counter totals), so report
+// numbers stay attributable to the exact run that produced them.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/repro/snntest/internal/core"
 	"github.com/repro/snntest/internal/experiments"
 	"github.com/repro/snntest/internal/obs"
 	_ "github.com/repro/snntest/internal/obs/telemetry" // -serve support
 	"github.com/repro/snntest/internal/snn"
-	"github.com/repro/snntest/internal/tensor"
 )
 
 func main() {
@@ -78,35 +64,24 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		table       = fs.Int("table", 0, "render one table (1-4)")
 		fig         = fs.Int("fig", 0, "render one figure (7-9)")
 		ablations   = fs.Bool("ablations", false, "run the ablation study")
-		forward     = fs.Bool("forward", false, "render the fused-vs-reference forward kernel timing table")
 		all         = fs.Bool("all", false, "render every table, figure and ablation")
 		benchList   = fs.String("bench", strings.Join(experiments.Benchmarks, ","), "comma-separated benchmarks")
 		outPath     = fs.String("out", "", "write the report to this file (default: stdout)")
 		obsMode     = fs.Bool("obs", false, "collect run counters and write a run manifest")
 		manifest    = fs.String("manifest", "BENCH_manifest.json", "manifest path for -obs")
-		trajectory  = fs.String("trajectory", "BENCH_trajectory.json", "cumulative per-run trajectory path for -obs")
-		check       = fs.Bool("check", false, "perf-regression sentinel: gate the trajectory's latest ratio metrics against their history and exit nonzero on regression")
-		checkWin    = fs.Int("check-window", checkWindow, "sentinel baseline window (median of up to N prior same-source records)")
-		checkMin    = fs.Int("check-min", checkMinHistory, "sentinel minimum prior records before a metric gates")
-		checkTolF   = fs.Float64("check-tol", checkTol, "sentinel regression tolerance as a fraction of baseline")
 		profile     = fs.String("profile", "", "analyze a pprof CPU profile: fold samples by phase label, render the per-phase table and write the -profile-out artifact")
 		profOut     = fs.String("profile-out", "BENCH_profile.json", "phase-attribution artifact path for -profile")
-		profKern    = fs.String("profile-kernel", defaultKernelPhases, "comma-separated kernel phases for the attribution gate")
-		profRoot    = fs.String("profile-root", "generate", "phase subtree the kernel share is measured against")
 		profLabMin  = fs.Float64("profile-min-labeled", 0, "fail unless at least this fraction of samples carries a phase label (0 = no gate)")
-		profKernMin = fs.Float64("profile-kernel-min", 0, "fail unless the kernel phases hold at least this fraction of the -profile-root subtree's CPU (0 = no gate)")
+		profKernMin = fs.Float64("profile-kernel-min", 0, "fail unless the kernel phases hold at least this fraction of the generate subtree's CPU (0 = no gate)")
 		profMinSamp = fs.Int("profile-min-samples", 50, "skip the -profile gates (with a note) below this sample count")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *check {
-		// The sentinel is a pure file check: no pipelines, no obs setup.
-		return runCheck(stdout, *trajectory, *checkWin, *checkMin, *checkTolF)
-	}
 	if *profile != "" {
-		// Like -check: pure file analysis, deterministic per profile.
-		return runProfile(stdout, *profile, *profOut, *profKern, *profRoot, *profLabMin, *profKernMin, *profMinSamp)
+		// Pure file analysis: no pipelines, no obs setup, deterministic
+		// per profile.
+		return runProfile(stdout, *profile, *profOut, *profLabMin, *profKernMin, *profMinSamp)
 	}
 	ocli.ForceEnable = ocli.ForceEnable || *obsMode
 	log, stop, err := ocli.Start(stderr)
@@ -123,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	if *table == 0 && *fig == 0 && !*ablations && !*forward {
+	if *table == 0 && *fig == 0 && !*ablations {
 		*all = true
 	}
 
@@ -237,11 +212,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			return err
 		}
 	}
-	if *all || *forward {
-		if err := renderForward(out, pipes, *seed); err != nil {
-			return err
-		}
-	}
 	if *obsMode {
 		m := obs.NewManifest(map[string]string{
 			"tool":       "benchreport",
@@ -254,17 +224,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			return err
 		}
 		log.Infof("run manifest written to %s", *manifest)
-
-		// Append this run to the cumulative bench trajectory so counter
-		// totals stay comparable across revisions, not just within one run.
-		metrics := make(map[string]float64, len(m.Counters))
-		for name, v := range m.Counters {
-			metrics[name] = float64(v)
-		}
-		if err := obs.AppendTrajectory(*trajectory, obs.NewTrajectoryRecord("benchreport", metrics)); err != nil {
-			return err
-		}
-		log.Infof("trajectory record appended to %s", *trajectory)
 	}
 	return nil
 }
@@ -278,49 +237,6 @@ func pickPipe(pipes []*experiments.Pipeline, prefer string) *experiments.Pipelin
 		}
 	}
 	return pipes[0]
-}
-
-// renderForward times the fused forward kernels against the retained
-// reference path on each pipeline's trained network and renders a small
-// table — the CLI view of the BenchmarkForwardFused / BENCH_forward.json
-// comparison. Divergent spike records are an error: bit-identity between
-// the two engines is a correctness invariant, not a benchmark metric.
-func renderForward(w io.Writer, pipes []*experiments.Pipeline, seed int64) error {
-	const steps = 50
-	fmt.Fprintf(w, "\nFused forward kernels vs reference path (%d steps, bit-identical records)\n", steps)
-	fmt.Fprintf(w, "%-14s %12s %12s %9s\n", "benchmark", "fused", "reference", "speedup")
-	for _, p := range pipes {
-		rng := rand.New(rand.NewSource(seed))
-		stim := tensor.RandBernoulli(rng, 0.3, append([]int{steps}, p.Net.InShape...)...)
-		fused, ref := p.Net.NewScratch(), p.Net.NewScratch()
-		ref.SetReference(true)
-		frec, _ := fused.RunFrom(0, nil, stim)
-		rrec, _ := ref.RunFrom(0, nil, stim)
-		for li := range p.Net.Layers {
-			if !tensor.Equal(frec.Layers[li], rrec.Layers[li], 0) {
-				return fmt.Errorf("%s: fused forward diverges from reference path at layer %d", p.Benchmark, li)
-			}
-		}
-		// Alternate the two engines at single-run granularity so machine
-		// slow phases inflate both totals proportionally (see bench_test).
-		var tF, tR time.Duration
-		deadline := time.Now().Add(150 * time.Millisecond)
-		n := 0
-		for time.Now().Before(deadline) {
-			s0 := time.Now()
-			fused.RunFrom(0, nil, stim)
-			s1 := time.Now()
-			ref.RunFrom(0, nil, stim)
-			tR += time.Since(s1)
-			tF += s1.Sub(s0)
-			n++
-		}
-		fmt.Fprintf(w, "%-14s %12v %12v %8.2fx\n", p.Benchmark,
-			(tF / time.Duration(n)).Round(time.Microsecond),
-			(tR / time.Duration(n)).Round(time.Microsecond),
-			float64(tR)/float64(tF))
-	}
-	return nil
 }
 
 // runAblations executes the DESIGN.md §5 ablation suite.

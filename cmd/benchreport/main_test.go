@@ -68,43 +68,16 @@ func TestRunNoBenchmarks(t *testing.T) {
 }
 
 // TestRunObsManifest checks -obs: the run manifest lands next to the
-// report with live counters and the run's configuration, and the run is
-// appended to the cumulative trajectory history.
+// report with live counters and the run's configuration.
 func TestRunObsManifest(t *testing.T) {
-	dir := t.TempDir()
-	manifest := filepath.Join(dir, "BENCH_manifest.json")
-	trajectory := filepath.Join(dir, "BENCH_trajectory.json")
+	manifest := filepath.Join(t.TempDir(), "BENCH_manifest.json")
 	var stdout, stderr bytes.Buffer
 	args := []string{
 		"-scale", "tiny", "-bench", "nmnist", "-epochs", "1", "-table", "1",
-		"-obs", "-manifest", manifest, "-trajectory", trajectory,
+		"-obs", "-manifest", manifest,
 	}
 	if err := run(args, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
-	}
-	// A second run must append, not overwrite.
-	args = append(args, "-out", filepath.Join(dir, "report.txt"))
-	if err := run(args, &stdout, &stderr); err != nil {
-		t.Fatalf("second run: %v\nstderr:\n%s", err, stderr.String())
-	}
-	tdata, err := os.ReadFile(trajectory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var records []obs.TrajectoryRecord
-	if err := json.Unmarshal(tdata, &records); err != nil {
-		t.Fatalf("trajectory is not valid JSON: %v\n%s", err, tdata)
-	}
-	if len(records) != 2 {
-		t.Fatalf("trajectory has %d records after two runs, want 2", len(records))
-	}
-	for i, r := range records {
-		if r.Source != "benchreport" || r.GitRev == "" || r.Time == "" {
-			t.Errorf("record %d provenance incomplete: %+v", i, r)
-		}
-		if r.Metrics["snn_forward_passes_total"] <= 0 {
-			t.Errorf("record %d metrics dead: %v", i, r.Metrics)
-		}
 	}
 	data, err := os.ReadFile(manifest)
 	if err != nil {
@@ -124,24 +97,5 @@ func TestRunObsManifest(t *testing.T) {
 	// the ones guaranteed to be live.
 	if m.Counters["snn_forward_passes_total"] <= 0 || m.Counters["snn_layer_steps_total"] <= 0 {
 		t.Errorf("manifest counters dead: %v", m.Counters)
-	}
-}
-
-// TestRunForwardTable checks -forward renders the fused-vs-reference
-// kernel timing table for the selected benchmark.
-func TestRunForwardTable(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	args := []string{
-		"-scale", "tiny", "-bench", "shd", "-epochs", "1", "-forward",
-	}
-	if err := run(args, &stdout, &stderr); err != nil {
-		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "Fused forward kernels") || !strings.Contains(out, "shd") {
-		t.Errorf("stdout missing fused forward table for shd; got:\n%s", out)
-	}
-	if strings.Contains(out, "Table I") {
-		t.Errorf("-forward alone should not render the report tables; got:\n%s", out)
 	}
 }

@@ -10,14 +10,17 @@ import (
 	"github.com/repro/snntest/internal/profparse"
 )
 
-// defaultKernelPhases are the spans where generation CPU is supposed to
-// live: the fused stepLayer/LIF kernels run inside the restart growth
-// loops, the stage-2 extension, and the T_in,min calibration (whose
-// subtree covers the parallel per-candidate spans by name prefix). The
-// verify.sh attribution gate checks that their cumulative share of the
-// "generate" subtree stays high — CPU leaking into bookkeeping phases
-// is exactly the regression PR 3 shipped blind.
-const defaultKernelPhases = "generate/restart,generate/stage2,generate/calibrate"
+// kernelPhases are the spans where generation CPU is supposed to live:
+// the fused stepLayer/LIF kernels run inside the restart growth loops,
+// the stage-2 extension, and the T_in,min calibration (whose subtree
+// covers the parallel per-candidate spans by name prefix). The verify.sh
+// attribution gate checks that their cumulative share of the kernelRoot
+// subtree stays high — CPU leaking into bookkeeping phases is the
+// regression it exists to catch.
+const (
+	kernelPhases = "generate/restart,generate/stage2,generate/calibrate"
+	kernelRoot   = "generate"
+)
 
 // profileChecks records the gate evaluation alongside the fold in
 // BENCH_profile.json, so CI artifacts show not just the table but what
@@ -44,7 +47,7 @@ type profileArtifact struct {
 // label, render the per-phase table, write BENCH_profile.json, and
 // enforce the attribution gates. Pure file analysis — no pipelines, no
 // obs setup — so the output is a deterministic function of the profile.
-func runProfile(w io.Writer, path, outPath, kernelList, kernelRoot string, minLabeled, kernelMin float64, minSamples int) error {
+func runProfile(w io.Writer, path, outPath string, minLabeled, kernelMin float64, minSamples int) error {
 	p, err := profparse.ParseFile(path)
 	if err != nil {
 		return err
@@ -65,20 +68,18 @@ func runProfile(w io.Writer, path, outPath, kernelList, kernelRoot string, minLa
 		MinSamples:   int64(minSamples),
 		MinLabeled:   minLabeled,
 		KernelMin:    kernelMin,
-		KernelPhases: kernelList,
+		KernelPhases: kernelPhases,
 		KernelRoot:   kernelRoot,
 		Pass:         true,
 	}
 	var kernelCum int64
-	for _, phase := range strings.Split(kernelList, ",") {
-		if phase = strings.TrimSpace(phase); phase != "" {
-			kernelCum += r.CumValue(phase)
-		}
+	for _, phase := range strings.Split(kernelPhases, ",") {
+		kernelCum += r.CumValue(phase)
 	}
 	if rootCum := r.CumValue(kernelRoot); rootCum > 0 {
 		checks.KernelFraction = float64(kernelCum) / float64(rootCum)
 	}
-	fmt.Fprintf(w, "\nkernel share of %s: %.1f%% (phases: %s)\n", kernelRoot, 100*checks.KernelFraction, kernelList)
+	fmt.Fprintf(w, "\nkernel share of %s: %.1f%% (phases: %s)\n", kernelRoot, 100*checks.KernelFraction, kernelPhases)
 
 	var failures []string
 	checks.Gated = r.TotalSamples >= int64(minSamples)

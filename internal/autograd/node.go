@@ -175,7 +175,7 @@ func Backward(root *Node) error {
 // instead of the epoch counter. The traversal — and therefore every
 // gradient bit — is identical; only the allocation behaviour differs. It
 // exists as the differential baseline for the generation-engine
-// equivalence suite and the BENCH_generate speedup measurement.
+// equivalence suite and the BenchmarkGenerateRestarts speedup gate.
 func BackwardReference(root *Node) error {
 	return backward(root, true)
 }

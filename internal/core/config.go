@@ -98,7 +98,7 @@ type Config struct {
 	// activation counting) and falls back to per-iteration allocation.
 	// Results are bit-identical either way — the flag exists as the
 	// differential baseline for the equivalence suite and the
-	// BENCH_generate speedup measurement.
+	// BenchmarkGenerateRestarts speedup gate.
 	ReferenceEngine bool
 	// Seed drives every stochastic component.
 	Seed int64
@@ -142,11 +142,11 @@ func TestConfig() Config {
 func (c *Config) steps2() int { return c.Steps1 / 2 }
 
 // lrSchedule returns the per-stage learning-rate annealing.
-func (c *Config) lrSchedule(steps int) train.Schedule {
+func (c *Config) lrSchedule(steps int) train.CosineSchedule {
 	return train.CosineSchedule{Initial: c.LR, Floor: c.LR / 20, Period: steps}
 }
 
 // tauSchedule returns the per-stage temperature annealing.
-func (c *Config) tauSchedule(steps int) train.Schedule {
+func (c *Config) tauSchedule(steps int) train.CosineSchedule {
 	return train.CosineSchedule{Initial: c.TauMax, Floor: 0.1, Period: steps}
 }

@@ -67,12 +67,6 @@ type Result struct {
 // TotalSteps returns T_test in simulation steps (Eq. 8).
 func (r *Result) TotalSteps() int { return r.Stimulus.Dim(0) }
 
-// DurationMS returns the test duration in milliseconds for the network's
-// step period.
-func (r *Result) DurationMS(net *snn.Network) float64 {
-	return float64(r.TotalSteps()) * net.StepMS
-}
-
 // DurationSamples expresses the test duration in equivalents of one
 // dataset sample of the given length (Table III's "test duration
 // (samples)" row).

@@ -116,9 +116,6 @@ func TestGenerateActivatesNeuronsAndAssembles(t *testing.T) {
 	if res.Runtime <= 0 {
 		t.Error("runtime not measured")
 	}
-	if res.DurationMS(net) != float64(res.TotalSteps()) {
-		t.Error("DurationMS with 1 ms steps must equal step count")
-	}
 	if res.DurationSamples(10) != float64(res.TotalSteps())/10 {
 		t.Error("DurationSamples arithmetic wrong")
 	}

@@ -1,60 +1,14 @@
-// Package encode converts between analog frames and spike-train tensors.
-// It implements the two information-coding schemes the paper declares
-// independence from: rate coding (spike probability proportional to
-// intensity) and time-to-first-spike (TTFS) coding (stronger intensity
-// spikes earlier). Stimuli are binary tensors of shape [T, frame...].
+// Package encode converts between analog frames and spike-train tensors:
+// DVS-style polarity events from consecutive intensity frames, and
+// per-element spike counts from a stimulus. Stimuli are binary tensors of
+// shape [T, frame...].
 package encode
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 
 	"github.com/repro/snntest/internal/tensor"
 )
-
-// Rate encodes an intensity frame (values in [0,1]) into T steps of
-// Bernoulli spikes: P(spike at any step) = intensity · maxRate. The result
-// has shape [T, frame...].
-func Rate(rng *rand.Rand, frame *tensor.Tensor, steps int, maxRate float64) *tensor.Tensor {
-	if maxRate < 0 || maxRate > 1 {
-		failf("maxRate must be in [0,1], got %g", maxRate)
-	}
-	out := tensor.New(append([]int{steps}, frame.Shape()...)...)
-	n := frame.Len()
-	fd, od := frame.Data(), out.Data()
-	for t := 0; t < steps; t++ {
-		for i := 0; i < n; i++ {
-			p := fd[i] * maxRate
-			if p > 0 && rng.Float64() < p {
-				od[t*n+i] = 1
-			}
-		}
-	}
-	return out
-}
-
-// TTFS encodes an intensity frame (values in [0,1]) into T steps where
-// each element spikes exactly once, at a latency inversely related to its
-// intensity: t = round((1 − v)·(T−1)). Elements at or below threshold
-// never spike.
-func TTFS(frame *tensor.Tensor, steps int, threshold float64) *tensor.Tensor {
-	out := tensor.New(append([]int{steps}, frame.Shape()...)...)
-	n := frame.Len()
-	fd, od := frame.Data(), out.Data()
-	for i := 0; i < n; i++ {
-		v := fd[i]
-		if v <= threshold {
-			continue
-		}
-		if v > 1 {
-			v = 1
-		}
-		t := int(math.Round((1 - v) * float64(steps-1)))
-		od[t*n+i] = 1
-	}
-	return out
-}
 
 // Counts decodes a stimulus [T, frame...] into per-element spike counts
 // with the frame's shape.
@@ -70,27 +24,6 @@ func Counts(stim *tensor.Tensor) *tensor.Tensor {
 	for t := 0; t < steps; t++ {
 		for i := 0; i < frame; i++ {
 			od[i] += sd[t*frame+i]
-		}
-	}
-	return out
-}
-
-// FirstSpikeTimes decodes a stimulus into each element's first spike step,
-// or -1 if it never spikes.
-func FirstSpikeTimes(stim *tensor.Tensor) []int {
-	shape := stim.Shape()
-	steps := shape[0]
-	frame := stim.Len() / steps
-	out := make([]int, frame)
-	for i := range out {
-		out[i] = -1
-	}
-	sd := stim.Data()
-	for t := 0; t < steps; t++ {
-		for i := 0; i < frame; i++ {
-			if sd[t*frame+i] == 1 && out[i] == -1 { //lint:ignore floateq stimulus spikes are exactly 0 or 1
-				out[i] = t
-			}
 		}
 	}
 	return out

@@ -1,83 +1,10 @@
 package encode
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"github.com/repro/snntest/internal/tensor"
 )
-
-func TestRateEncodingStatistics(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	frame := tensor.FromSlice([]float64{0, 0.5, 1}, 3)
-	stim := Rate(rng, frame, 2000, 0.8)
-	counts := Counts(stim)
-	if counts.At(0) != 0 {
-		t.Errorf("zero intensity produced %g spikes", counts.At(0))
-	}
-	if r := counts.At(1) / 2000; math.Abs(r-0.4) > 0.05 {
-		t.Errorf("rate for 0.5 intensity = %g, want ≈0.4", r)
-	}
-	if r := counts.At(2) / 2000; math.Abs(r-0.8) > 0.05 {
-		t.Errorf("rate for full intensity = %g, want ≈0.8", r)
-	}
-}
-
-func TestRateEncodingBinaryAndShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	frame := tensor.Full(0.7, 2, 3)
-	stim := Rate(rng, frame, 5, 1)
-	want := []int{5, 2, 3}
-	for i, d := range want {
-		if stim.Dim(i) != d {
-			t.Fatalf("shape = %v, want %v", stim.Shape(), want)
-		}
-	}
-	for _, v := range stim.Data() {
-		if v != 0 && v != 1 {
-			t.Fatal("rate encoding must be binary")
-		}
-	}
-}
-
-func TestRateBadMaxRatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for maxRate > 1")
-		}
-	}()
-	Rate(rand.New(rand.NewSource(3)), tensor.New(1), 1, 1.5)
-}
-
-func TestTTFSOrdering(t *testing.T) {
-	frame := tensor.FromSlice([]float64{1.0, 0.5, 0.1, 0.0}, 4)
-	stim := TTFS(frame, 10, 0.05)
-	times := FirstSpikeTimes(stim)
-	if times[0] != 0 {
-		t.Errorf("strongest input should spike first (t=0), got %d", times[0])
-	}
-	if !(times[0] < times[1] && times[1] < times[2]) {
-		t.Errorf("TTFS latency must decrease with intensity: %v", times)
-	}
-	if times[3] != -1 {
-		t.Errorf("sub-threshold input must never spike, got t=%d", times[3])
-	}
-	// Each supra-threshold element spikes exactly once.
-	counts := Counts(stim)
-	for i := 0; i < 3; i++ {
-		if counts.At(i) != 1 {
-			t.Errorf("element %d spiked %g times, want 1", i, counts.At(i))
-		}
-	}
-}
-
-func TestTTFSClampsOverrange(t *testing.T) {
-	stim := TTFS(tensor.FromSlice([]float64{2.0}, 1), 5, 0)
-	if FirstSpikeTimes(stim)[0] != 0 {
-		t.Error("over-range intensity should clamp to earliest spike")
-	}
-}
 
 func TestCountsRoundTrip(t *testing.T) {
 	stim := tensor.New(3, 2)

@@ -219,19 +219,3 @@ func (p *Pipeline) progress(phase string) func(int) {
 		}
 	}
 }
-
-// BuildAll constructs pipelines for all three benchmarks.
-func BuildAll(opts Options) ([]*Pipeline, error) {
-	var out []*Pipeline
-	for _, b := range Benchmarks {
-		p, err := NewPipeline(b, opts)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, "%s: trained, accuracy %.1f%%\n", b, 100*p.Accuracy)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}

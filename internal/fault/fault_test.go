@@ -35,12 +35,6 @@ func TestKindPredicates(t *testing.T) {
 			t.Errorf("%v should be a synapse kind", k)
 		}
 	}
-	if NeuronDead.IsExtension() || SynapseDead.IsExtension() {
-		t.Error("core kinds must not be extensions")
-	}
-	if !NeuronThresholdVar.IsExtension() || !SynapseBitFlip.IsExtension() {
-		t.Error("parametric/bitflip kinds are extensions")
-	}
 	for _, k := range append(neurons, synapses...) {
 		if k.String() == "" {
 			t.Errorf("empty String for %d", k)

@@ -48,16 +48,6 @@ const (
 // synapse weight).
 func (k Kind) IsNeuron() bool { return k <= NeuronRefractoryVar }
 
-// IsExtension reports whether the kind is outside the paper's default
-// campaign universe (timing-variation and bit-flip faults).
-func (k Kind) IsExtension() bool {
-	switch k {
-	case NeuronThresholdVar, NeuronLeakVar, NeuronRefractoryVar, SynapseBitFlip:
-		return true
-	}
-	return false
-}
-
 func (k Kind) String() string {
 	switch k {
 	case NeuronDead:

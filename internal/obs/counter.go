@@ -183,13 +183,6 @@ func sortedNamesLocked[M any](m map[string]*M) []string {
 	return names
 }
 
-// CounterNames returns the registered counter names in sorted order.
-func CounterNames() []string {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	return sortedNamesLocked(registry.c)
-}
-
 // ResetCounters zeroes every registered metric — counters, gauges and
 // timing histograms (handles stay valid). Tests and CLI teardown use it
 // to keep runs hermetic. It holds the registry lock for the duration,

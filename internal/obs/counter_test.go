@@ -62,23 +62,3 @@ func TestSnapshotAndReset(t *testing.T) {
 		t.Fatal("handle dead after reset")
 	}
 }
-
-func TestCounterNamesSorted(t *testing.T) {
-	t.Cleanup(ResetCounters)
-	NewCounter("obs_test.names_b")
-	NewCounter("obs_test.names_a")
-	names := CounterNames()
-	prev := ""
-	seenA, seenB := false, false
-	for _, n := range names {
-		if n < prev {
-			t.Fatalf("names not sorted: %v", names)
-		}
-		prev = n
-		seenA = seenA || n == "obs_test.names_a"
-		seenB = seenB || n == "obs_test.names_b"
-	}
-	if !seenA || !seenB {
-		t.Fatalf("registered names missing from %v", names)
-	}
-}

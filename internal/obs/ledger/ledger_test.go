@@ -107,10 +107,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("lifecycle entries out of order: first %q last %q", entries[0].Kind, entries[7].Kind)
 	}
 
-	c, err := ReadCurve(dir, run)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := FromEntries(entries)
 	if c.Run != run || c.Phase != "campaign/simulate" || !c.Terminal {
 		t.Errorf("curve header wrong: %+v", c)
 	}

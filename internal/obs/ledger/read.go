@@ -75,18 +75,6 @@ func ReadRun(dir, run string) ([]Entry, error) {
 	return out, nil
 }
 
-// ReadCurve derives one run's coverage curve straight from its journal.
-func ReadCurve(dir, run string) (Curve, error) {
-	entries, err := ReadRun(dir, run)
-	if err != nil {
-		return Curve{}, err
-	}
-	if len(entries) == 0 {
-		return Curve{}, fmt.Errorf("ledger: run %s: empty journal", run)
-	}
-	return FromEntries(entries), nil
-}
-
 // attrInt extracts an integer attribute from a (possibly JSON-decoded)
 // metadata map; JSON numbers arrive as float64.
 func attrInt(attrs map[string]any, key string) int {

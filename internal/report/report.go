@@ -86,29 +86,6 @@ func Table(w io.Writer, title string, headers []string, rows [][]string) error {
 	return ew.err
 }
 
-// CSV writes headers and rows in comma-separated form, quoting cells that
-// contain commas.
-func CSV(w io.Writer, headers []string, rows [][]string) error {
-	ew := &errWriter{w: w}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				ew.print(",")
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			ew.print(c)
-		}
-		ew.println()
-	}
-	writeRow(headers)
-	for _, r := range rows {
-		writeRow(r)
-	}
-	return ew.err
-}
-
 // shades maps an intensity in [0,1] to an ASCII shade.
 var shades = []byte(" .:-=+*#%@")
 

@@ -43,21 +43,6 @@ func TestTableNoTitle(t *testing.T) {
 	}
 }
 
-func TestCSVQuoting(t *testing.T) {
-	var b strings.Builder
-	CSV(&b, []string{"a", "b"}, [][]string{{"1,5", `say "hi"`}})
-	out := b.String()
-	if !strings.Contains(out, `"1,5"`) {
-		t.Error("comma cell must be quoted")
-	}
-	if !strings.Contains(out, `"say ""hi"""`) {
-		t.Error("quote cell must be escaped")
-	}
-	if !strings.HasPrefix(out, "a,b\n") {
-		t.Error("header row wrong")
-	}
-}
-
 func TestActivationGrid(t *testing.T) {
 	var b strings.Builder
 	ActivationGrid(&b, "layer1", []bool{true, false, true, true, false, false}, 3)

@@ -122,9 +122,4 @@ func TestRecordHelpers(t *testing.T) {
 			t.Errorf("activated neuron id %d out of range", g)
 		}
 	}
-
-	// OutputDiffL1 of a record with itself is 0.
-	if rec.OutputDiffL1(rec) != 0 {
-		t.Error("self L1 diff must be 0")
-	}
 }

@@ -12,16 +12,13 @@ import (
 // Hot-path counters of the fast simulation loop. Every update is guarded
 // by a single obs.On() branch so the disabled (default) layer leaves the
 // simulator's cost model untouched; see DESIGN.md §6 for the taxonomy.
-// The latency histograms are flushed once per forward pass alongside the
-// counters: the per-layer-step distribution is derived as pass duration
-// over executed layer-steps, so the inner simulation loop never reads
-// the clock.
+// The pass-latency histogram is flushed once per forward pass alongside
+// the counters, so the inner simulation loop never reads the clock.
 var (
 	obsForwardPasses = obs.NewCounter("snn_forward_passes_total")
 	obsLayerSteps    = obs.NewCounter("snn_layer_steps_total")
 	obsSpikes        = obs.NewCounter("snn_spikes_total")
 	obsForwardHist   = obs.NewTimingHistogram("snn_forward_pass_seconds")
-	obsLayerStepHist = obs.NewTimingHistogram("snn_layer_step_seconds")
 )
 
 // Network is a feedforward stack of spiking layers (recurrent projections
@@ -245,7 +242,7 @@ func (n *Network) NewScratch() *Scratch {
 // per-step Projection.Forward tensor materialization followed by the
 // plain stepLayer kernel. The fused path (the default) is bit-identical
 // to it; the reference path is kept as the differential baseline for the
-// equivalence/fuzz harness and the BENCH_forward comparison.
+// equivalence/fuzz harness and the BenchmarkForwardFused speedup gate.
 func (s *Scratch) SetReference(on bool) { s.reference = on }
 
 // Bind re-points the scratch at net, which must be geometry-identical to
@@ -393,20 +390,17 @@ func (s *Scratch) runFrom(start int, golden *Record, stimulus *tensor.Tensor, st
 	return rec, layerSteps, false
 }
 
-// observe flushes one run's hot-path counters and latency histograms: a
+// observe flushes one run's hot-path counters and latency histogram: a
 // forward pass, the simulated layer-steps, the spikes emitted in the
 // simulated region (layers ≥ start over the first simSteps steps;
-// replayed golden layers below start are not re-counted), the pass
-// duration, and the mean per-layer-step latency of the pass. Callers
+// replayed golden layers below start are not re-counted), and the pass
+// duration. Callers
 // gate it behind obs.On(), so the disabled layer costs the simulation
 // loop exactly one branch.
 func (s *Scratch) observe(rec *Record, start, simSteps, layerSteps int, elapsed time.Duration) {
 	obsForwardPasses.Add(1)
 	obsLayerSteps.Add(int64(layerSteps))
 	obsForwardHist.Observe(elapsed)
-	if layerSteps > 0 {
-		obsLayerStepHist.Observe(elapsed / time.Duration(layerSteps))
-	}
 	spikes := int64(0)
 	for li := start; li < len(s.net.Layers); li++ {
 		nn := s.net.Layers[li].NumNeurons()

@@ -42,6 +42,15 @@ func randomStimulus(rng *rand.Rand, n *Network, steps int, p float64) *tensor.Te
 	return tensor.RandBernoulli(rng, p, append([]int{steps}, n.InShape...)...)
 }
 
+// totalSpikes returns the number of spikes across every layer of rec.
+func totalSpikes(rec *Record) float64 {
+	s := 0.0
+	for _, lt := range rec.Layers {
+		s += tensor.Sum(lt)
+	}
+	return s
+}
+
 func TestNetworkCounts(t *testing.T) {
 	n := testNet(1)
 	// conv: 4×4×4 = 64, pool: 4×2×2 = 16, out: 5 → 85 neurons.
@@ -99,7 +108,7 @@ func TestRunStateIsFresh(t *testing.T) {
 	n := testNet(7)
 	n.Run(randomStimulus(rand.New(rand.NewSource(8)), n, 10, 0.8))
 	rec := n.Run(n.ZeroInput(10))
-	if rec.TotalSpikes() != 0 {
+	if totalSpikes(rec) != 0 {
 		t.Error("zero stimulus on fresh state must produce no spikes")
 	}
 }

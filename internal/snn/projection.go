@@ -298,13 +298,10 @@ func (p *RecurrentProj) OutShape() []int { return p.outShape }
 // NumSynapses counts both feedforward and recurrent connections.
 func (p *RecurrentProj) NumSynapses() int { return p.W.Len() + p.R.Len() }
 
-// Weights returns the feedforward matrix; the recurrent matrix is reached
-// through RecurrentWeights. Fault enumeration indexes the two ranges
-// contiguously: [0, len(W)) then [len(W), len(W)+len(R)).
+// Weights returns the feedforward matrix W; the recurrent matrix is the
+// R field. Fault enumeration indexes the two ranges contiguously:
+// [0, len(W)) then [len(W), len(W)+len(R)).
 func (p *RecurrentProj) Weights() *tensor.Tensor { return p.W }
-
-// RecurrentWeights returns the recurrent weight matrix R.
-func (p *RecurrentProj) RecurrentWeights() *tensor.Tensor { return p.R }
 
 func (p *RecurrentProj) Forward(in, lastOut *tensor.Tensor) *tensor.Tensor {
 	cur := tensor.MatVec(p.W, in.Reshape(p.W.Dim(1)))

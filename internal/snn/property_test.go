@@ -83,7 +83,7 @@ func TestGraphFastEquivalenceProperty(t *testing.T) {
 func TestZeroStimulusSilenceProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		net := quickNet(seed)
-		return net.Run(net.ZeroInput(20)).TotalSpikes() == 0
+		return totalSpikes(net.Run(net.ZeroInput(20))) == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

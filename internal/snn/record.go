@@ -87,22 +87,6 @@ func (r *Record) ActivatedNeurons(offsets []int, minSpikes float64) map[int]bool
 	return act
 }
 
-// TotalSpikes returns the total number of spikes across all layers.
-func (r *Record) TotalSpikes() float64 {
-	s := 0.0
-	for _, lt := range r.Layers {
-		s += tensor.Sum(lt)
-	}
-	return s
-}
-
-// OutputDiffL1 returns ‖O^L − other.O^L‖₁, the paper's fault-detection
-// statistic (Eq. 3). The records must cover the same step count and
-// output width.
-func (r *Record) OutputDiffL1(other *Record) float64 {
-	return tensor.L1Diff(r.Output(), other.Output())
-}
-
 // TemporalDiversity returns, for each neuron of layer ℓ, the number of
 // state changes of its output train (Eq. 11).
 func (r *Record) TemporalDiversity(layer int) *tensor.Tensor {

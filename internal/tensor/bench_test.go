@@ -15,16 +15,6 @@ func BenchmarkMatVec(b *testing.B) {
 	}
 }
 
-func BenchmarkMatMul(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	x := RandNormal(rng, 0, 1, 64, 64)
-	y := RandNormal(rng, 0, 1, 64, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
-	}
-}
-
 func BenchmarkConv2D(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	x := RandNormal(rng, 0, 1, 2, 34, 34)

@@ -25,36 +25,6 @@ func checkPanic(t *testing.T, want bool, fn func()) {
 	fn()
 }
 
-// FuzzMatMulBlocked differentiates the cache-blocked matrix product
-// against the naive reference over arbitrary shapes and sparsity: every
-// element must come out identical (==; the kernels' bit-identity
-// contract), since both accumulate each output element in the same k
-// order with the same exact-zero skip.
-func FuzzMatMulBlocked(f *testing.F) {
-	f.Add(byte(3), byte(4), byte(5), int64(1), byte(0))
-	f.Add(byte(64), byte(64), byte(64), int64(2), byte(3))
-	f.Add(byte(65), byte(1), byte(129), int64(3), byte(2))
-	f.Add(byte(1), byte(200), byte(1), int64(4), byte(1))
-	f.Fuzz(func(t *testing.T, mb, kb, nb byte, seed int64, zmod byte) {
-		m, k, n := int(mb)%96+1, int(kb)%96+1, int(nb)%96+1
-		rng := rand.New(rand.NewSource(seed))
-		a := RandNormal(rng, 0, 1, m, k)
-		b := RandNormal(rng, 0, 1, k, n)
-		if zmod > 0 {
-			step := int(zmod%7) + 2
-			for i := 0; i < a.Len(); i += step {
-				a.Data()[i] = 0
-			}
-		}
-		got, want := MatMulBlocked(a, b), MatMul(a, b)
-		for i := range want.Data() {
-			if got.Data()[i] != want.Data()[i] {
-				t.Fatalf("blocked[%d] = %g, naive = %g (m=%d k=%d n=%d)", i, got.Data()[i], want.Data()[i], m, k, n)
-			}
-		}
-	})
-}
-
 // FuzzConv2DIm2Col differentiates the im2col convolution against the
 // naive Conv2D over arbitrary geometries, strides and paddings. Equality
 // is elementwise == (padding taps contribute exact zero terms, which can

@@ -20,22 +20,6 @@ func bitEqual(a, b *Tensor) bool {
 	return true
 }
 
-func TestEquivMatMulBlockedMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, dims := range [][3]int{{1, 1, 1}, {3, 5, 2}, {64, 64, 64}, {65, 3, 130}, {100, 70, 33}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a := RandNormal(rng, 0, 1, m, k)
-		b := RandNormal(rng, 0, 1, k, n)
-		// Sprinkle exact zeros so the skip path is exercised.
-		for i := 0; i < a.Len(); i += 3 {
-			a.Data()[i] = 0
-		}
-		if !bitEqual(MatMulBlocked(a, b), MatMul(a, b)) {
-			t.Errorf("MatMulBlocked diverges from MatMul at %d×%d×%d", m, k, n)
-		}
-	}
-}
-
 func TestEquivConv2DIm2ColMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	cases := []struct {
@@ -77,9 +61,7 @@ func TestConv2DColIntoReusedBufferNeedsNoClearing(t *testing.T) {
 	}
 }
 
-func TestBlockedAndIm2ColShapePanics(t *testing.T) {
-	checkPanic(t, true, func() { MatMulBlocked(New(2, 3), New(2, 2)) })
-	checkPanic(t, true, func() { MatMulBlocked(New(2), New(2, 2)) })
+func TestIm2ColShapePanics(t *testing.T) {
 	checkPanic(t, true, func() { Conv2DIm2Col(New(2, 4, 4), New(1, 3, 3, 3), ConvSpec{Stride: 1}) })
 	checkPanic(t, true, func() { Conv2DColInto(make([]float64, 3), make([]float64, 5), New(1, 1, 2, 2)) })
 	checkPanic(t, true, func() { Im2Col(make([]float64, 1), make([]float64, 4), 1, 2, 2, 1, 1, ConvSpec{Stride: 1}) })

@@ -1,34 +1,5 @@
 package tensor
 
-// MatMul returns the matrix product of a (m×k) and b (k×n) as an m×n tensor.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		failf("MatMul requires rank-2 operands, got %v × %v", a.shape, b.shape)
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		failf("MatMul inner dimension mismatch %v × %v", a.shape, b.shape)
-	}
-	out := newResult(a, b, m, n)
-	// ikj loop order keeps the inner loop streaming over contiguous rows.
-	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		orow := out.data[i*n : (i+1)*n]
-		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
-			if av == 0 {
-				continue
-			}
-			brow := b.data[kk*n : (kk+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-	return out
-}
-
 // MatVec returns w·x for a weight matrix w (out×in) and vector x (in).
 func MatVec(w, x *Tensor) *Tensor {
 	if w.Rank() != 2 {

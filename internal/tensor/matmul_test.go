@@ -6,43 +6,11 @@ import (
 	"testing"
 )
 
-func TestMatMulKnown(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	got := MatMul(a, b)
-	want := FromSlice([]float64{58, 64, 139, 154}, 2, 2)
-	if !Equal(got, want, 1e-12) {
-		t.Errorf("MatMul = %v, want %v", got, want)
-	}
-}
-
-func TestMatMulDimensionMismatchPanics(t *testing.T) {
-	defer mustPanic(t, "MatMul inner mismatch")
-	MatMul(New(2, 3), New(2, 2))
-}
-
-func TestMatMulIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := RandNormal(rng, 0, 1, 4, 4)
-	id := New(4, 4)
-	for i := 0; i < 4; i++ {
-		id.Set(1, i, i)
-	}
-	if !Equal(MatMul(a, id), a, 1e-12) {
-		t.Error("A·I ≠ A")
-	}
-	if !Equal(MatMul(id, a), a, 1e-12) {
-		t.Error("I·A ≠ A")
-	}
-}
-
-func TestMatVecAgainstMatMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	w := RandNormal(rng, 0, 1, 5, 3)
-	x := RandNormal(rng, 0, 1, 3)
-	got := MatVec(w, x)
-	want := MatMul(w, x.Reshape(3, 1)).Reshape(5)
-	if !Equal(got, want, 1e-12) {
+func TestMatVecKnown(t *testing.T) {
+	w := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	got := MatVec(w, vec(7, 8, 9))
+	want := vec(50, 122)
+	if !Equal(got, want, 0) {
 		t.Errorf("MatVec = %v, want %v", got, want)
 	}
 }
@@ -79,24 +47,6 @@ func TestOuter(t *testing.T) {
 func TestDot(t *testing.T) {
 	if d := Dot(vec(1, 2, 3), vec(4, 5, 6)); d != 32 {
 		t.Errorf("Dot = %g, want 32", d)
-	}
-}
-
-// Property: (A·B)·x == A·(B·x) for random matrices and vectors.
-func TestMatMulAssociativityProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 25; trial++ {
-		m := 1 + rng.Intn(6)
-		k := 1 + rng.Intn(6)
-		n := 1 + rng.Intn(6)
-		a := RandNormal(rng, 0, 1, m, k)
-		b := RandNormal(rng, 0, 1, k, n)
-		x := RandNormal(rng, 0, 1, n)
-		left := MatVec(MatMul(a, b), x)
-		right := MatVec(a, MatVec(b, x))
-		if !Equal(left, right, 1e-9) {
-			t.Fatalf("trial %d: (AB)x ≠ A(Bx): %v vs %v", trial, left, right)
-		}
 	}
 }
 

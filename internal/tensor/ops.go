@@ -32,16 +32,6 @@ func Mul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Div returns a / b elementwise.
-func Div(a, b *Tensor) *Tensor {
-	assertSameShape("Div", a, b)
-	out := newResult(a, b, a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] / b.data[i]
-	}
-	return out
-}
-
 // Scale returns a * s elementwise.
 func Scale(a *Tensor, s float64) *Tensor {
 	out := NewLike(a, a.shape...)
@@ -121,21 +111,6 @@ func Heaviside(a *Tensor, threshold float64) *Tensor {
 	return out
 }
 
-// Clamp limits every element of a to [lo, hi].
-func Clamp(a *Tensor, lo, hi float64) *Tensor {
-	out := NewLike(a, a.shape...)
-	for i := range a.data {
-		v := a.data[i]
-		if v < lo {
-			v = lo
-		} else if v > hi {
-			v = hi
-		}
-		out.data[i] = v
-	}
-	return out
-}
-
 // AddInPlace computes dst += src elementwise.
 //
 //snn:hotpath
@@ -146,42 +121,12 @@ func AddInPlace(dst, src *Tensor) {
 	}
 }
 
-// SubInPlace computes dst -= src elementwise.
-//
-//snn:hotpath
-func SubInPlace(dst, src *Tensor) {
-	assertSameShape("SubInPlace", dst, src)
-	for i := range dst.data {
-		dst.data[i] -= src.data[i]
-	}
-}
-
-// MulInPlace computes dst *= src elementwise.
-//
-//snn:hotpath
-func MulInPlace(dst, src *Tensor) {
-	assertSameShape("MulInPlace", dst, src)
-	for i := range dst.data {
-		dst.data[i] *= src.data[i]
-	}
-}
-
 // ScaleInPlace computes dst *= s elementwise.
 //
 //snn:hotpath
 func ScaleInPlace(dst *Tensor, s float64) {
 	for i := range dst.data {
 		dst.data[i] *= s
-	}
-}
-
-// AddScaledInPlace computes dst += s*src elementwise (axpy).
-//
-//snn:hotpath
-func AddScaledInPlace(dst *Tensor, s float64, src *Tensor) {
-	assertSameShape("AddScaledInPlace", dst, src)
-	for i := range dst.data {
-		dst.data[i] += s * src.data[i]
 	}
 }
 

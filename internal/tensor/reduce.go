@@ -77,15 +77,6 @@ func L1Norm(a *Tensor) float64 {
 	return s
 }
 
-// L2Norm returns √(Σ aᵢ²).
-func L2Norm(a *Tensor) float64 {
-	s := 0.0
-	for _, v := range a.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // L1Diff returns Σ|aᵢ−bᵢ|, the L1 distance between two equal-shape tensors.
 func L1Diff(a, b *Tensor) float64 {
 	assertSameShape("L1Diff", a, b)
@@ -120,33 +111,6 @@ func RowEqual(a, b *Tensor, r int) bool {
 		}
 	}
 	return true
-}
-
-// CountNonZero returns the number of elements with |v| > eps.
-func CountNonZero(a *Tensor, eps float64) int {
-	n := 0
-	for _, v := range a.data {
-		if math.Abs(v) > eps {
-			n++
-		}
-	}
-	return n
-}
-
-// SumRows sums a rank-2 tensor along its second axis, returning a vector of
-// length Dim(0): out[i] = Σⱼ a[i,j].
-func SumRows(a *Tensor) *Tensor {
-	rows, cols := a.shape[0], a.shape[1]
-	out := NewLike(a, rows)
-	for i := 0; i < rows; i++ {
-		s := 0.0
-		row := a.data[i*cols : (i+1)*cols]
-		for _, v := range row {
-			s += v
-		}
-		out.data[i] = s
-	}
-	return out
 }
 
 // SumCols sums a rank-2 tensor along its first axis, returning a vector of

@@ -48,9 +48,6 @@ func TestNorms(t *testing.T) {
 	if L1Norm(x) != 7 {
 		t.Errorf("L1Norm = %g", L1Norm(x))
 	}
-	if L2Norm(x) != 5 {
-		t.Errorf("L2Norm = %g", L2Norm(x))
-	}
 	if L1Diff(x, vec(1, -1)) != 5 {
 		t.Errorf("L1Diff = %g", L1Diff(x, vec(1, -1)))
 	}
@@ -84,18 +81,8 @@ func TestRowEqual(t *testing.T) {
 	}
 }
 
-func TestCountNonZero(t *testing.T) {
-	x := vec(0, 1e-12, 0.5, -2)
-	if n := CountNonZero(x, 1e-9); n != 2 {
-		t.Errorf("CountNonZero = %d, want 2", n)
-	}
-}
-
-func TestSumRowsCols(t *testing.T) {
+func TestSumCols(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	if got := SumRows(x); !Equal(got, vec(6, 15), 0) {
-		t.Errorf("SumRows = %v", got)
-	}
 	if got := SumCols(x); !Equal(got, vec(5, 7, 9), 0) {
 		t.Errorf("SumCols = %v", got)
 	}
@@ -118,7 +105,7 @@ func TestSoftmax(t *testing.T) {
 	}
 }
 
-// quick-check property: L1 and L2 norms satisfy the triangle inequality and
+// quick-check property: the L1 norm satisfies the triangle inequality and
 // absolute homogeneity on random vectors.
 func TestNormPropertiesQuick(t *testing.T) {
 	triangle := func(a, b [8]float64) bool {
@@ -127,8 +114,7 @@ func TestNormPropertiesQuick(t *testing.T) {
 		if !x.AllFinite() || !y.AllFinite() {
 			return true
 		}
-		return L1Norm(Add(x, y)) <= L1Norm(x)+L1Norm(y)+1e-9 &&
-			L2Norm(Add(x, y)) <= L2Norm(x)+L2Norm(y)+1e-9
+		return L1Norm(Add(x, y)) <= L1Norm(x)+L1Norm(y)+1e-9
 	}
 	if err := quick.Check(triangle, nil); err != nil {
 		t.Error(err)

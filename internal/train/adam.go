@@ -61,18 +61,3 @@ func (a *Adam) ZeroGrad() {
 		l.ZeroGrad()
 	}
 }
-
-// StepCount returns the number of updates applied so far.
-func (a *Adam) StepCount() int { return a.step }
-
-// GradNorm returns the L2 norm of all accumulated gradients, a cheap
-// divergence check.
-func (a *Adam) GradNorm() float64 {
-	s := 0.0
-	for _, l := range a.leaves {
-		for _, g := range l.Grad.Data() {
-			s += g * g
-		}
-	}
-	return math.Sqrt(s)
-}

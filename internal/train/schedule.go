@@ -2,63 +2,22 @@ package train
 
 import "math"
 
-// Schedule maps an optimization step index to a scalar hyperparameter
-// value; the paper anneals both the Adam learning rate (initial 0.1) and
-// the Gumbel-Softmax temperature (maximum 0.9) over the course of each
-// stage.
-type Schedule interface {
-	At(step int) float64
-}
-
-// ConstSchedule always returns the same value.
-type ConstSchedule float64
-
-// At implements Schedule.
-func (c ConstSchedule) At(int) float64 { return float64(c) }
-
-// ExpSchedule decays geometrically from Initial by Decay per step, never
-// dropping below Floor.
-type ExpSchedule struct {
-	Initial float64
-	Decay   float64 // per-step multiplier in (0, 1]
-	Floor   float64
-}
-
-// At implements Schedule.
-func (s ExpSchedule) At(step int) float64 {
-	v := s.Initial * math.Pow(s.Decay, float64(step))
-	if v < s.Floor {
-		return s.Floor
-	}
-	return v
-}
-
-// CosineSchedule anneals from Initial to Floor over Period steps following
-// a half cosine, then stays at Floor.
+// CosineSchedule maps an optimization step index to a hyperparameter
+// value that anneals from Initial to Floor over Period steps following a
+// half cosine, then stays at Floor. The paper anneals both the Adam
+// learning rate and the Gumbel-Softmax temperature over each stage this
+// way.
 type CosineSchedule struct {
 	Initial float64
 	Floor   float64
 	Period  int
 }
 
-// At implements Schedule.
+// At returns the value at step.
 func (s CosineSchedule) At(step int) float64 {
 	if s.Period <= 0 || step >= s.Period {
 		return s.Floor
 	}
 	frac := float64(step) / float64(s.Period)
 	return s.Floor + (s.Initial-s.Floor)*0.5*(1+math.Cos(math.Pi*frac))
-}
-
-// DefaultLRSchedule is the paper's learning-rate annealing: initial 0.1
-// decaying smoothly over the stage.
-func DefaultLRSchedule(steps int) Schedule {
-	return CosineSchedule{Initial: 0.1, Floor: 0.005, Period: steps}
-}
-
-// DefaultTauSchedule is the paper's Gumbel-Softmax temperature annealing
-// with maximum value 0.9: the relaxation sharpens toward binary as the
-// stage progresses.
-func DefaultTauSchedule(steps int) Schedule {
-	return CosineSchedule{Initial: 0.9, Floor: 0.1, Period: steps}
 }

@@ -25,9 +25,6 @@ func TestAdamMinimizesQuadratic(t *testing.T) {
 	if !tensor.Equal(x.Value, target, 1e-2) {
 		t.Errorf("Adam failed to converge: %v, want %v", x.Value, target)
 	}
-	if opt.StepCount() != 300 {
-		t.Errorf("StepCount = %d", opt.StepCount())
-	}
 }
 
 func TestAdamBiasCorrectionFirstStep(t *testing.T) {
@@ -44,34 +41,18 @@ func TestAdamBiasCorrectionFirstStep(t *testing.T) {
 	}
 }
 
-func TestAdamZeroGradAndGradNorm(t *testing.T) {
+func TestAdamZeroGrad(t *testing.T) {
 	x := ag.Leaf(tensor.FromSlice([]float64{1, 1}, 2))
 	opt := NewAdam([]*ag.Node{x}, 0.1)
 	x.Grad.Data()[0] = 3
 	x.Grad.Data()[1] = 4
-	if n := opt.GradNorm(); math.Abs(n-5) > 1e-12 {
-		t.Errorf("GradNorm = %g, want 5", n)
-	}
 	opt.ZeroGrad()
-	if opt.GradNorm() != 0 {
-		t.Error("ZeroGrad did not clear gradients")
+	if !tensor.Equal(x.Grad, tensor.New(2), 0) {
+		t.Errorf("ZeroGrad left gradients %v", x.Grad)
 	}
 }
 
-func TestSchedules(t *testing.T) {
-	c := ConstSchedule(0.5)
-	if c.At(0) != 0.5 || c.At(1000) != 0.5 {
-		t.Error("ConstSchedule must be constant")
-	}
-
-	e := ExpSchedule{Initial: 1, Decay: 0.5, Floor: 0.1}
-	if e.At(0) != 1 || e.At(1) != 0.5 || e.At(2) != 0.25 {
-		t.Errorf("ExpSchedule values wrong: %g %g %g", e.At(0), e.At(1), e.At(2))
-	}
-	if e.At(100) != 0.1 {
-		t.Errorf("ExpSchedule floor violated: %g", e.At(100))
-	}
-
+func TestCosineSchedule(t *testing.T) {
 	cs := CosineSchedule{Initial: 1, Floor: 0, Period: 10}
 	if cs.At(0) != 1 {
 		t.Errorf("cosine start = %g, want 1", cs.At(0))
@@ -87,13 +68,6 @@ func TestSchedules(t *testing.T) {
 		if cs.At(s) >= cs.At(s-1) {
 			t.Fatalf("cosine not decreasing at step %d", s)
 		}
-	}
-
-	if DefaultLRSchedule(100).At(0) != 0.1 {
-		t.Error("paper LR schedule must start at 0.1")
-	}
-	if DefaultTauSchedule(100).At(0) != 0.9 {
-		t.Error("paper τ schedule must start at its maximum 0.9")
 	}
 }
 
