@@ -402,58 +402,14 @@ func BenchmarkForwardGraphBPTT(b *testing.B) {
 	}
 }
 
-// generateEngines runs one fixture's Restarts=4 generation on both
-// engines — reference at one worker, fast at four — taking the faster of
-// two timed runs each, asserts the stimuli and loss traces are
-// bit-identical across engines and worker counts, and returns both
-// timings.
-func generateEngines(b *testing.B, name string, p *experiments.Pipeline) (tRef, tFast time.Duration) {
-	b.Helper()
-	gen := func(reference bool, workers int) (*core.Result, time.Duration) {
-		cfg := p.Opts.GenConfig
-		cfg.Seed = 17
-		cfg.TInMin = 8 // pin the chunk duration: time the engines, not calibration
-		cfg.Parallel = core.Parallel{Restarts: 4, Workers: workers}
-		cfg.ReferenceEngine = reference
-		start := time.Now()
-		res := must(core.Generate(p.Net, cfg))
-		return res, time.Since(start)
-	}
-	gen(false, 4) // warm caches and scratch pools
-	fast, tFast := gen(false, 4)
-	ref, tRef := gen(true, 1)
-	if _, t := gen(false, 4); t < tFast {
-		tFast = t
-	}
-	if _, t := gen(true, 1); t < tRef {
-		tRef = t
-	}
-	fast1, _ := gen(false, 1)
-	for tag, other := range map[string]*core.Result{"reference w1": ref, "fast w1": fast1} {
-		if !tensor.Equal(fast.Stimulus, other.Stimulus, 0) {
-			b.Fatalf("%s: fast w4 stimulus differs from %s", name, tag)
-		}
-		if len(fast.Trace) != len(other.Trace) {
-			b.Fatalf("%s: fast w4 trace length differs from %s", name, tag)
-		}
-		for i := range fast.Trace {
-			if fast.Trace[i] != other.Trace[i] {
-				b.Fatalf("%s: fast w4 trace[%d] differs from %s", name, i, tag)
-			}
-		}
-	}
-	return tRef, tFast
-}
-
-// BenchmarkGenerateRestarts compares the two generation engines on every
-// fixture at Restarts=4: the reference engine (the faithful pre-overhaul
-// baseline — per-iteration allocation, composed graph ops, naive kernels)
-// at one worker against the fast engine (arena + fused ops + im2col) at
-// four, asserting bit-identical stimuli and loss traces across engines
-// and worker counts and an aggregate wall-clock speedup ≥ 2×.
+// BenchmarkGenerateRestarts times the multi-restart generation engine
+// (arena-backed fused graph, im2col conv) at Restarts=4 on four workers
+// on the NMNIST fixture, with the chunk duration pinned so the loop times
+// the engine rather than calibration. Its bit-identity across worker
+// counts is pinned by internal/core's TestEquivGenerateWorkerCountInvariance
+// and its graph by TestEquivGenerationGraph.
 func BenchmarkGenerateRestarts(b *testing.B) {
-	ps := pipelines(b)
-	nm := ps["nmnist"]
+	nm := pipelines(b)["nmnist"]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := nm.Opts.GenConfig
@@ -462,21 +418,6 @@ func BenchmarkGenerateRestarts(b *testing.B) {
 		cfg.Parallel = core.Parallel{Restarts: 4, Workers: 4}
 		must(core.Generate(nm.Net, cfg))
 	}
-	b.StopTimer()
-
-	var tRef, tFast time.Duration
-	for _, name := range experiments.Benchmarks {
-		r, f := generateEngines(b, name, ps[name])
-		tRef += r
-		tFast += f
-	}
-	aggregate := float64(tRef) / float64(tFast)
-	if aggregate < 2 {
-		b.Fatalf("fast engine speedup %.2fx across fixtures, want >= 2x (reference %v, fast %v)",
-			aggregate, tRef.Round(time.Millisecond), tFast.Round(time.Millisecond))
-	}
-	b.ReportMetric(aggregate, "speedup-x")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
 }
 
 // nopWriter discards figure output in timed loops.

@@ -13,10 +13,9 @@
 // accepted for command-line symmetry with go vet but do not narrow the
 // walk) through the incremental parallel driver: -cache persists
 // per-package results keyed by content hash so unchanged packages skip
-// parsing and type-checking, -workers bounds the concurrency (the output
-// is identical for every value), and -baseline filters accepted
-// pre-existing findings recorded with -write-baseline. See internal/lint
-// for the analyzers and README.md for how to add one. snnlint shares the
+// parsing and type-checking, and -workers bounds the concurrency (the
+// output is identical for every value). See internal/lint for the
+// analyzers and README.md for how to add one. snnlint shares the
 // repo-wide observability flags (-v, -quiet, -trace, -serve,
 // -profile-dir) with the other cmds.
 package main
@@ -61,8 +60,6 @@ func run(args []string, dir string, stdout, stderr io.Writer) (findings int, err
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	workers := fs.Int("workers", 0, "type-check/analysis concurrency (0 = GOMAXPROCS; output is identical for every value)")
 	cachePath := fs.String("cache", "", "persistent per-package diagnostics cache file (empty = no cache)")
-	baselinePath := fs.String("baseline", "", "accepted-findings baseline file to filter against")
-	writeBaseline := fs.String("write-baseline", "", "record the run's findings as the accepted baseline at this path and exit 0")
 	if err := fs.Parse(args); err != nil {
 		return 0, err
 	}
@@ -83,27 +80,12 @@ func run(args []string, dir string, stdout, stderr io.Writer) (findings int, err
 		return 0, nil
 	}
 
-	opts := lint.Options{Workers: *workers, CachePath: *cachePath}
-	if *baselinePath != "" {
-		opts.Baseline, err = lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			return 0, err
-		}
-	}
-	res, err := lint.AnalyzeModule(dir, lint.All(), opts)
+	res, err := lint.AnalyzeModule(dir, lint.All(), lint.Options{Workers: *workers, CachePath: *cachePath})
 	if err != nil {
 		return 0, err
 	}
 	st := res.Stats
 	log.Debugf("analyzed module at %s: %d packages", dir, st.Packages)
-
-	if *writeBaseline != "" {
-		if err := lint.WriteBaseline(*writeBaseline, dir, res.Diagnostics); err != nil {
-			return 0, err
-		}
-		fmt.Fprintf(stderr, "snnlint: wrote %d finding(s) to baseline %s\n", len(res.Diagnostics), *writeBaseline)
-		return 0, nil
-	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
@@ -120,7 +102,7 @@ func run(args []string, dir string, stdout, stderr io.Writer) (findings int, err
 			fmt.Fprintln(stdout, d)
 		}
 	}
-	fmt.Fprintf(stderr, "snnlint: %d package(s): %d analyzed, %d cached; %d suppressed, %d baselined, %d finding(s) in %v\n",
-		st.Packages, st.Analyzed, st.Cached, st.Suppressed, st.Baselined, len(res.Diagnostics), st.Wall.Round(time.Millisecond))
+	fmt.Fprintf(stderr, "snnlint: %d package(s): %d analyzed, %d cached; %d suppressed, %d finding(s) in %v\n",
+		st.Packages, st.Analyzed, st.Cached, st.Suppressed, len(res.Diagnostics), st.Wall.Round(time.Millisecond))
 	return len(res.Diagnostics), nil
 }

@@ -165,37 +165,3 @@ func leak(fns []func()) {
 		t.Errorf("warm run did not hit the cache:\n%s", err2.String())
 	}
 }
-
-// TestRunBaselineRoundTrip records findings with -write-baseline, then
-// filters them with -baseline.
-func TestRunBaselineRoundTrip(t *testing.T) {
-	dir := writeTempModule(t, `package tmp
-
-func leak(fns []func()) {
-	for _, f := range fns {
-		defer f()
-	}
-}
-`)
-	bl := dir + "/baseline.json"
-	var stdout, stderr bytes.Buffer
-	n, err := run([]string{"-write-baseline", bl}, dir, &stdout, &stderr)
-	if err != nil {
-		t.Fatalf("write-baseline run: %v", err)
-	}
-	if n != 0 {
-		t.Fatalf("write-baseline mode reported %d findings, want 0", n)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	n, err = run([]string{"-baseline", bl}, dir, &stdout, &stderr)
-	if err != nil {
-		t.Fatalf("baseline run: %v", err)
-	}
-	if n != 0 {
-		t.Fatalf("baselined finding resurfaced: %d findings\n%s", n, stdout.String())
-	}
-	if !strings.Contains(stderr.String(), "1 baselined") {
-		t.Errorf("summary line missing baselined count:\n%s", stderr.String())
-	}
-}

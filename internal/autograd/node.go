@@ -73,9 +73,6 @@ func Const(t *tensor.Tensor) *Node {
 	return &Node{Value: t}
 }
 
-// RequiresGrad reports whether gradients flow into this node.
-func (n *Node) RequiresGrad() bool { return n.requiresGrad }
-
 // ZeroGrad clears the accumulated gradient of a leaf (or any grad-bearing
 // node).
 func (n *Node) ZeroGrad() {
@@ -137,11 +134,12 @@ func (s *nodeSlab) get() *Node {
 func (s *nodeSlab) reset() { s.bi, s.bo = 0, 0 }
 
 // slabNode returns a zeroed Node for a value tensor: from the value's
-// arena-attached slab when the value is arena-backed (fast engine), from
-// the heap otherwise (reference engine, training, tests). Leaf and Const
-// construct their nodes directly and so always live on the heap — a leaf
-// (the optimizer's stimulus, adopted into the arena) outlives every
-// Reset, which a slab node must not.
+// arena-attached slab when the value is arena-backed (the generation
+// engine), from the heap otherwise (training, tests and the heap-side
+// graph the generation oracle builds). Leaf and Const construct their
+// nodes directly and so always live on the heap — a leaf (the
+// optimizer's stimulus, adopted into the arena) outlives every Reset,
+// which a slab node must not.
 func slabNode(value *tensor.Tensor) *Node {
 	ar := value.Arena()
 	if ar == nil {
@@ -168,41 +166,24 @@ func accumulate(p *Node, g *tensor.Tensor) {
 // gradient-requiring node holds ∂root/∂node in Grad (accumulated on top of
 // whatever was already there, so call ZeroGrad on leaves between steps).
 func Backward(root *Node) error {
-	return backward(root, false)
-}
-
-// BackwardReference is Backward with the original per-sort visited map
-// instead of the epoch counter. The traversal — and therefore every
-// gradient bit — is identical; only the allocation behaviour differs. It
-// exists as the differential baseline for the generation-engine
-// equivalence suite and the BenchmarkGenerateRestarts speedup gate.
-func BackwardReference(root *Node) error {
-	return backward(root, true)
-}
-
-func backward(root *Node, mapVisited bool) error {
 	if root.Value.Len() != 1 {
 		return fmt.Errorf("autograd: Backward root must be scalar, got shape %v", root.Value.Shape())
 	}
 	if !root.requiresGrad {
 		return nil // nothing reachable requires gradients
 	}
-	order := topoSort(root, mapVisited)
+	order := topoSort(root)
 	root.Grad.Fill(1)
 	for i := len(order) - 1; i >= 0; i-- {
 		if n := order[i]; n.backward != nil {
 			n.backward(n)
 		}
 	}
-	if !mapVisited {
-		sortBufs.Put(&sortBuf{order: order[:0]})
-	}
+	sortBufs.Put(&sortBuf{order: order[:0]})
 	return nil
 }
 
-// sortBuf recycles one Backward's traversal slice. Only the epoch-based
-// fast path draws from the pool; BackwardReference allocates fresh, like
-// the baseline engine it stands in for.
+// sortBuf recycles one Backward's traversal slice across calls.
 type sortBuf struct{ order []*Node }
 
 var sortBufs = sync.Pool{New: func() any { return new(sortBuf) }}
@@ -214,46 +195,24 @@ var sortBufs = sync.Pool{New: func() any { return new(sortBuf) }}
 var topoEpoch atomic.Uint64
 
 // topoSort returns nodes reachable from root in topological order
-// (parents before children). Iterative DFS to survive deep BPTT graphs.
-// With mapVisited the visited set is a heap map (the pre-epoch baseline);
-// otherwise it is the epoch counter. Both walk parents in the same order,
-// so the returned order — and every downstream gradient — is identical.
-func topoSort(root *Node, mapVisited bool) []*Node {
+// (parents before children). Iterative DFS to survive deep BPTT graphs;
+// the visited set is the epoch counter, so the sort allocates no map.
+func topoSort(root *Node) []*Node {
 	type frame struct {
 		n    *Node
 		next int
 	}
-	var epoch uint64
-	var visited map[*Node]bool
-	var order []*Node
-	if mapVisited {
-		visited = map[*Node]bool{root: true}
-	} else {
-		epoch = topoEpoch.Add(1)
-		root.visit = epoch
-		order = sortBufs.Get().(*sortBuf).order
-	}
-	seen := func(p *Node) bool {
-		if mapVisited {
-			if visited[p] {
-				return true
-			}
-			visited[p] = true
-			return false
-		}
-		if p.visit == epoch {
-			return true
-		}
-		p.visit = epoch
-		return false
-	}
+	epoch := topoEpoch.Add(1)
+	root.visit = epoch
+	order := sortBufs.Get().(*sortBuf).order
 	stack := []frame{{n: root}}
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
 		if top.next < len(top.n.parents) {
 			p := top.n.parents[top.next]
 			top.next++
-			if p != nil && p.requiresGrad && !seen(p) {
+			if p != nil && p.requiresGrad && p.visit != epoch {
+				p.visit = epoch
 				stack = append(stack, frame{n: p})
 			}
 			continue

@@ -52,7 +52,7 @@ func TestBackwardRequiresScalarRoot(t *testing.T) {
 func TestLeafConstSemantics(t *testing.T) {
 	l := Leaf(tensor.Scalar(1))
 	c := Const(tensor.Scalar(2))
-	if !l.RequiresGrad() || c.RequiresGrad() {
+	if !l.requiresGrad || c.requiresGrad {
 		t.Fatal("Leaf must require grad, Const must not")
 	}
 	root := Sum(Mul(l, c))

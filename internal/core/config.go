@@ -93,13 +93,6 @@ type Config struct {
 	// PlainSigmoid replaces the Gumbel-Softmax relaxation with a plain
 	// noise-free sigmoid (ablation of the stochastic reparameterization).
 	PlainSigmoid bool
-	// ReferenceEngine disables the buffer-reusing generation engine (the
-	// per-restart tensor arena, record/scratch reuse and mapless
-	// activation counting) and falls back to per-iteration allocation.
-	// Results are bit-identical either way — the flag exists as the
-	// differential baseline for the equivalence suite and the
-	// BenchmarkGenerateRestarts speedup gate.
-	ReferenceEngine bool
 	// Seed drives every stochastic component.
 	Seed int64
 	// Log, when non-nil, receives per-iteration progress lines.

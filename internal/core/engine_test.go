@@ -1,43 +1,172 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	ag "github.com/repro/snntest/internal/autograd"
 	"github.com/repro/snntest/internal/snn"
 	"github.com/repro/snntest/internal/tensor"
 )
 
-// TestEquivReferenceEngineBitIdentity pins the buffer-reusing generation
-// engine (arena, record/scratch reuse, mapless activation counting) to
-// the per-iteration-allocation reference engine: for every fixture and
-// for one restart and for several, the generated
-// stimulus and the iteration trace must be bit-identical — the engines
-// may differ only in where buffers live.
-func TestEquivReferenceEngineBitIdentity(t *testing.T) {
+// generationPass is one side of the generation-graph differential: the
+// chunk optimizer's forward pipeline (GumbelSigmoid → per-step
+// STE(Slice) → graph simulation) and every loss the stage loops
+// differentiate, after one Backward through their sum.
+type generationPass struct {
+	res    *snn.GraphResult
+	inputs []*ag.Node // the per-step STE frames fed to the simulation
+	losses []*ag.Node // L1, L2, L3, L4, L5, OutputMismatch, their sum
+}
+
+// runGenerationPass builds the generation graph on leaf — through
+// RunGraphFused when fused, the composed RunGraph otherwise — and
+// backpropagates the sum of L1–L5 and OutputMismatch into leaf.Grad and
+// every per-step input gradient.
+func runGenerationPass(t testing.TB, net *snn.Network, leaf *ag.Node, noise *tensor.Tensor, tau float64, mask *LayerMask, ref *tensor.Tensor, fused bool) generationPass {
+	t.Helper()
+	frame := net.InputLen()
+	soft := ag.GumbelSigmoid(leaf, noise, tau)
+	p := generationPass{inputs: make([]*ag.Node, leaf.Value.Len()/frame)}
+	for s := range p.inputs {
+		p.inputs[s] = ag.STE(ag.Slice(soft, s*frame, frame, net.InShape...), 0.5)
+	}
+	if fused {
+		p.res = net.RunGraphFused(p.inputs)
+	} else {
+		p.res = net.RunGraph(p.inputs)
+	}
+	p.losses = []*ag.Node{L1(p.res), L2(p.res, mask), L3(p.res, mask, 2), L4(net, p.res), L5(p.res), OutputMismatch(p.res, ref)}
+	p.losses = append(p.losses, ag.AddN(p.losses...))
+	leaf.ZeroGrad()
+	if err := ag.Backward(p.losses[len(p.losses)-1]); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// requireBitsEqual fails unless got and want hold the same float64 bit
+// patterns.
+func requireBitsEqual(t testing.TB, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d vs oracle %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d]: %v vs oracle %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// checkGenerationGraph runs iters optimization steps of the generation
+// graph on two copies of the same logits: the production side adopted
+// into a tensor.Arena (RunGraphFused, im2col conv, slab-allocated nodes,
+// Reset before every step) and the oracle side a heap clone (composed
+// RunGraph, naive conv). At step growAt both leaves are replaced by
+// longer ones keeping the optimized prefix, the production one re-adopted
+// into the same arena, as chunkOptimizer.grow does. Every spike frame,
+// loss value and input gradient must match bit for bit. It returns the
+// number of non-zero logits-gradient entries summed over all steps.
+func checkGenerationGraph(t testing.TB, net *snn.Network, rng *rand.Rand, steps int, tau float64, iters, growAt int) int {
+	t.Helper()
+	frame := net.InputLen()
+	arena := tensor.NewArena()
+	prod := ag.Leaf(tensor.RandNormal(rng, initLogitMean, 1, steps*frame))
+	arena.Adopt(prod.Value)
+	oracle := ag.Leaf(prod.Value.Clone())
+	target := map[int]bool{}
+	for g := 0; g < net.NumNeurons(); g++ {
+		if rng.Intn(2) == 0 {
+			target[g] = true
+		}
+	}
+	mask := TargetMask(net, target)
+	nonZero := 0
+	for it := 0; it < iters; it++ {
+		if it == growAt {
+			extra := 1 + rng.Intn(4)
+			grown := tensor.RandNormal(rng, initLogitMean, 1, (steps+extra)*frame)
+			copy(grown.Data(), prod.Value.Data())
+			steps += extra
+			oracle = ag.Leaf(grown.Clone())
+			prod = ag.Leaf(grown)
+			arena.Adopt(prod.Value)
+		}
+		arena.Reset()
+		noise := tensor.New(steps * frame)
+		ag.LogisticNoise(noise, rng.Float64)
+		ref := tensor.RandBernoulli(rng, 0.3, steps, net.OutputLen())
+
+		got := runGenerationPass(t, net, prod, noise, tau, mask, ref, true)
+		want := runGenerationPass(t, net, oracle, noise, tau, mask, ref, false)
+		if got.res.Spikes[0][0].Value.Arena() != arena || want.res.Spikes[0][0].Value.Arena() != nil {
+			t.Fatal("production graph must be arena-backed and the oracle graph heap-backed")
+		}
+		for li := range want.res.Spikes {
+			for s, node := range want.res.Spikes[li] {
+				requireBitsEqual(t, fmt.Sprintf("iteration %d: layer %d spikes at t=%d", it, li, s), got.res.Spikes[li][s].Value.Data(), node.Value.Data())
+			}
+		}
+		for i, l := range want.losses {
+			name := []string{"L1", "L2", "L3", "L4", "L5", "OutputMismatch", "total loss"}[i]
+			requireBitsEqual(t, fmt.Sprintf("iteration %d: %s", it, name), got.losses[i].Value.Data(), l.Value.Data())
+		}
+		for s, in := range want.inputs {
+			requireBitsEqual(t, fmt.Sprintf("iteration %d: input gradient at t=%d", it, s), got.inputs[s].Grad.Data(), in.Grad.Data())
+		}
+		requireBitsEqual(t, fmt.Sprintf("iteration %d: logits gradient", it), prod.Grad.Data(), oracle.Grad.Data())
+
+		// A fixed descent step on both copies; the next step's graph
+		// starts from the updated logits.
+		for _, leaf := range []*ag.Node{prod, oracle} {
+			v := leaf.Value.Data()
+			for i, g := range leaf.Grad.Data() {
+				v[i] -= 0.5 * g
+			}
+		}
+		for _, g := range prod.Grad.Data() {
+			if g != 0 {
+				nonZero++
+			}
+		}
+	}
+	return nonZero
+}
+
+// TestEquivGenerationGraph pins the generation engine's graph to the one
+// oracle it keeps: on every fixture, four optimization steps (one of them
+// a growth) of the arena-backed RunGraphFused pipeline must be bitwise
+// identical to the composed heap RunGraph in spike frames, losses and
+// input gradients — and the gradients must not be vacuously zero.
+func TestEquivGenerationGraph(t *testing.T) {
 	for _, benchmark := range []string{"nmnist", "ibm-gesture", "shd"} {
 		t.Run(benchmark, func(t *testing.T) {
-			for _, par := range []Parallel{{}, {Restarts: 3, Workers: 4}} {
-				net := must(snn.Build(benchmark, rand.New(rand.NewSource(33)), snn.ScaleTiny))
-				cfg := fastParallelConfig(par.Restarts, par.Workers)
-				cfg.Parallel = par
-
-				fast := must(Generate(net, cfg))
-				cfg.ReferenceEngine = true
-				ref := must(Generate(net, cfg))
-
-				if !tensor.Equal(fast.Stimulus, ref.Stimulus, 0) {
-					t.Fatalf("restarts=%d: fast-engine stimulus differs from reference engine", par.Restarts)
-				}
-				if len(fast.Trace) != len(ref.Trace) {
-					t.Fatalf("restarts=%d: trace length %d vs %d", par.Restarts, len(fast.Trace), len(ref.Trace))
-				}
-				for i := range fast.Trace {
-					if fast.Trace[i] != ref.Trace[i] {
-						t.Errorf("restarts=%d: trace[%d] differs: %+v vs %+v", par.Restarts, i, fast.Trace[i], ref.Trace[i])
-					}
-				}
+			net := must(snn.Build(benchmark, rand.New(rand.NewSource(33)), snn.ScaleTiny)).Clone()
+			n := checkGenerationGraph(t, net, rand.New(rand.NewSource(5)), 8, 0.7, 4, 2)
+			if n == 0 {
+				t.Fatal("every logits gradient was zero: the gradient comparison is vacuous")
 			}
+			t.Logf("%d non-zero logits-gradient entries over 4 steps", n)
 		})
 	}
+}
+
+// FuzzRunGraphFused differentiates the two sides of
+// TestEquivGenerationGraph over the fixture, its builder seed, the chunk
+// duration (1–16 steps), the relaxation temperature and the noise seed,
+// three optimization steps with a growth at the second. Its seeds are
+// the committed corpus under testdata/fuzz/FuzzRunGraphFused.
+func FuzzRunGraphFused(f *testing.F) {
+	f.Fuzz(func(t *testing.T, fixture byte, builderSeed int64, stepsB byte, tau float64, noiseSeed int64) {
+		benchmark := []string{"nmnist", "ibm-gesture", "shd"}[int(fixture)%3]
+		net := must(snn.Build(benchmark, rand.New(rand.NewSource(builderSeed)), snn.ScaleTiny)).Clone()
+		if math.IsNaN(tau) || math.IsInf(tau, 0) {
+			tau = 1
+		}
+		tau = 0.05 + math.Mod(math.Abs(tau), 2)
+		checkGenerationGraph(t, net, rand.New(rand.NewSource(noiseSeed)), 1+int(stepsB)%16, tau, 3, 1)
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"time"
 
+	ag "github.com/repro/snntest/internal/autograd"
 	"github.com/repro/snntest/internal/obs"
 	"github.com/repro/snntest/internal/snn"
 	"github.com/repro/snntest/internal/tensor"
@@ -334,7 +335,7 @@ func calibrateCandidate(net *snn.Network, cfg *Config, rng *rand.Rand, t, budget
 			c.minL1 = l1.Value.Data()[0]
 		}
 		opt.adam.ZeroGrad()
-		if err := opt.backward(l1); err != nil {
+		if err := ag.Backward(l1); err != nil {
 			return c, err
 		}
 		opt.adam.LR = lrSched.At(s)

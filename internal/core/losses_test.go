@@ -77,7 +77,7 @@ func TestL3TemporalDiversityHinge(t *testing.T) {
 	// explicit record-based TD computation.
 	stim := tensor.RandBernoulli(rand.New(rand.NewSource(6)), 0.7, 16, 4)
 	res := graphRun(net, stim)
-	rec := res.ToRecord(net)
+	rec := res.ToRecordInto(net, nil)
 	tdMin := 6.0
 	want := 0.0
 	for li := 0; li < 2; li++ {
@@ -122,7 +122,7 @@ func TestL5CountsHiddenTrafficOnly(t *testing.T) {
 	net := smallNet(8)
 	stim := tensor.RandBernoulli(rand.New(rand.NewSource(9)), 0.8, 12, 4)
 	res := graphRun(net, stim)
-	rec := res.ToRecord(net)
+	rec := res.ToRecordInto(net, nil)
 	want := tensor.Sum(rec.Layers[0]) // hidden layer only
 	if got := L5(res).Value.Data()[0]; got != want {
 		t.Errorf("L5 = %g, want %g", got, want)
@@ -133,7 +133,7 @@ func TestOutputMismatchPenalty(t *testing.T) {
 	net := smallNet(10)
 	stim := tensor.RandBernoulli(rand.New(rand.NewSource(11)), 0.6, 10, 4)
 	res := graphRun(net, stim)
-	ref := res.ToRecord(net).Output()
+	ref := res.ToRecordInto(net, nil).Output()
 	if m := OutputMismatch(res, ref).Value.Data()[0]; m != 0 {
 		t.Errorf("self mismatch = %g, want 0", m)
 	}

@@ -33,12 +33,12 @@ type chunkOptimizer struct {
 	noise *tensor.Tensor // logistic noise, resampled per optimization step
 	adam  *train.Adam
 
-	// Buffer-reusing engine state, nil when cfg.ReferenceEngine: the
-	// arena recycles every per-iteration graph tensor (values, interior
-	// gradients, the Gumbel relaxation) at the next forward call; rec,
-	// scratch, stim and stepNodes amortize the remaining per-iteration
-	// structures. Anything that survives an iteration (the best stimulus
-	// and output) is Clone()d onto the heap before the arena resets.
+	// Buffer-reusing engine state: the arena recycles every per-iteration
+	// graph tensor (values, interior gradients, the Gumbel relaxation) at
+	// the next forward call; rec, scratch, stim and stepNodes amortize the
+	// remaining per-iteration structures. Anything that survives an
+	// iteration (the best stimulus and output) is Clone()d onto the heap
+	// before the arena resets.
 	arena     *tensor.Arena
 	rec       *snn.Record
 	scratch   *snn.Scratch
@@ -66,13 +66,11 @@ func newChunkOptimizer(net *snn.Network, cfg *Config, rng *rand.Rand, steps int)
 		noise: tensor.New(steps * frame),
 	}
 	o.adam = train.NewAdam([]*ag.Node{o.leaf}, cfg.LR)
-	if !cfg.ReferenceEngine {
-		// Adopting the (heap-backed) logits roots arena propagation:
-		// every tensor derived from the leaf during forward/backward is
-		// drawn from the arena and recycled at the next iteration.
-		o.arena = tensor.NewArena()
-		o.arena.Adopt(o.leaf.Value)
-	}
+	// Adopting the (heap-backed) logits roots arena propagation: every
+	// tensor derived from the leaf during forward/backward is drawn from
+	// the arena and recycled at the next iteration.
+	o.arena = tensor.NewArena()
+	o.arena.Adopt(o.leaf.Value)
 	return o
 }
 
@@ -87,25 +85,21 @@ func (o *chunkOptimizer) grow(extra int) {
 	o.leaf = ag.Leaf(grown)
 	o.noise = tensor.New(o.steps * o.frame)
 	o.adam = train.NewAdam([]*ag.Node{o.leaf}, o.cfg.LR)
-	if o.arena != nil {
-		o.arena.Adopt(o.leaf.Value)
-		// Per-duration buffers are stale; lazily resized on next use.
-		o.rec, o.stim, o.stepNodes = nil, nil, nil
-	}
+	// The per-duration buffers (stepNodes, stim, rec) are resized on
+	// their next use: forward and ToRecordInto check the step count.
+	o.arena.Adopt(o.leaf.Value)
 }
 
-// forward builds the Gumbel-Softmax → STE → RunGraph pipeline for the
+// forward builds the Gumbel-Softmax → STE → RunGraphFused pipeline for the
 // current logits at temperature tau and returns the graph result plus the
 // realized binary stimulus. It fails if the relaxation has gone non-finite
 // (a diverged I_real under an aggressive learning rate), so every stage
 // loop propagates divergence as an error instead of optimizing on NaNs.
 func (o *chunkOptimizer) forward(tau float64) (*snn.GraphResult, *tensor.Tensor, error) {
-	if o.arena != nil {
-		// Everything the previous iteration's graph allocated is dead by
-		// now: the bookkeeping between iterations holds only scalars and
-		// heap clones.
-		o.arena.Reset()
-	}
+	// Everything the previous iteration's graph allocated is dead by now:
+	// the bookkeeping between iterations holds only scalars and heap
+	// clones.
+	o.arena.Reset()
 	if o.cfg.PlainSigmoid {
 		o.noise.Zero()
 	} else {
@@ -115,41 +109,28 @@ func (o *chunkOptimizer) forward(tau float64) (*snn.GraphResult, *tensor.Tensor,
 	if !soft.Value.AllFinite() {
 		return nil, nil, fmt.Errorf("core: optimizer diverged: non-finite relaxation values at temperature %g", tau)
 	}
-	stepNodes, stim := o.stepNodes, o.stim
-	if stepNodes == nil || len(stepNodes) != o.steps {
-		stepNodes = make([]*ag.Node, o.steps)
-		stim = tensor.New(append([]int{o.steps}, o.net.InShape...)...)
-		if o.arena != nil {
-			o.stepNodes, o.stim = stepNodes, stim
-		}
+	if len(o.stepNodes) != o.steps {
+		o.stepNodes = make([]*ag.Node, o.steps)
+		o.stim = tensor.New(append([]int{o.steps}, o.net.InShape...)...)
 	}
 	for t := 0; t < o.steps; t++ {
 		frameNode := ag.STE(ag.Slice(soft, t*o.frame, o.frame, o.net.InShape...), 0.5)
-		stepNodes[t] = frameNode
-		copy(stim.RawRange(t*o.frame, o.frame), frameNode.Value.Data())
+		o.stepNodes[t] = frameNode
+		copy(o.stim.RawRange(t*o.frame, o.frame), frameNode.Value.Data())
 	}
-	if o.arena != nil {
-		return o.net.RunGraphFused(stepNodes), stim, nil
-	}
-	return o.net.RunGraph(stepNodes), stim, nil
+	return o.net.RunGraphFused(o.stepNodes), o.stim, nil
 }
 
-// record materializes the graph result's spike trains, reusing the
-// optimizer's record on the buffer-reusing engine.
+// record materializes the graph result's spike trains into the
+// optimizer's reusable record.
 func (o *chunkOptimizer) record(res *snn.GraphResult) *snn.Record {
-	if o.arena == nil {
-		return res.ToRecord(o.net)
-	}
 	o.rec = res.ToRecordInto(o.net, o.rec)
 	return o.rec
 }
 
-// traffic returns the hidden-layer spike count the stimulus elicits,
-// through the optimizer's reusable scratch on the buffer-reusing engine.
+// traffic returns the hidden-layer spike count the stimulus elicits (the
+// fast-path value of L5), through the optimizer's reusable scratch.
 func (o *chunkOptimizer) traffic(stim *tensor.Tensor) float64 {
-	if o.arena == nil {
-		return hiddenTraffic(o.net, stim)
-	}
 	if o.scratch == nil {
 		o.scratch = o.net.NewScratch()
 	}
@@ -233,14 +214,7 @@ func (o *chunkOptimizer) runStage1(mask *LayerMask, tdMin float64, offsets []int
 		rec := o.record(res)
 		// The activated-neuron set is only materialized as a map when the
 		// candidate wins; the ranking itself uses the mapless record scan.
-		var act map[int]bool
-		var newCount int
-		if o.arena == nil {
-			act = rec.ActivatedNeurons(offsets, 1)
-			newCount = countMasked(act, mask, offsets, o.net)
-		} else {
-			newCount = countActivatedMasked(rec, mask, o.net)
-		}
+		newCount := countActivatedMasked(rec, mask, o.net)
 		// Candidate ranking: firing outputs comes first (a fault effect
 		// that cannot reach O^L is undetectable, so L1 dominates), then
 		// newly activated target neurons, then the aggregate loss.
@@ -248,20 +222,17 @@ func (o *chunkOptimizer) runStage1(mask *LayerMask, tdMin float64, offsets []int
 			(l1Val == bestL1 && newCount > bestNew) || //lint:ignore floateq lexicographic tie-break on deterministically recomputed loss values
 			(l1Val == bestL1 && newCount == bestNew && lossVal < best.loss) //lint:ignore floateq lexicographic tie-break on deterministically recomputed loss values
 		if better {
-			if act == nil {
-				act = rec.ActivatedNeurons(offsets, 1)
-			}
 			bestL1, bestNew = l1Val, newCount
 			best = stageOutcome{
 				stim:      stim.Clone(),
 				loss:      lossVal,
-				activated: act,
+				activated: rec.ActivatedNeurons(offsets, 1),
 				output:    rec.Output().Clone(),
 			}
 		}
 
 		o.adam.ZeroGrad()
-		if err := o.backward(total); err != nil {
+		if err := ag.Backward(total); err != nil {
 			return stageOutcome{}, err
 		}
 		o.adam.LR = lrSched.At(s)
@@ -311,35 +282,13 @@ func (o *chunkOptimizer) runStage2(incumbent stageOutcome, offsets []int) (stage
 		}
 
 		o.adam.ZeroGrad()
-		if err := o.backward(total); err != nil {
+		if err := ag.Backward(total); err != nil {
 			return stageOutcome{}, err
 		}
 		o.adam.LR = lrSched.At(s)
 		o.adam.Step()
 	}
 	return best, nil
-}
-
-// backward dispatches the gradient pass to the engine-matched visited-set
-// strategy: the reference engine keeps the original map-visited
-// topological sort, the fast engine the epoch-based one. The traversal
-// order is the same, so gradients are bit-identical either way.
-func (o *chunkOptimizer) backward(total *ag.Node) error {
-	if o.arena == nil {
-		return ag.BackwardReference(total)
-	}
-	return ag.Backward(total)
-}
-
-// hiddenTraffic returns the total hidden-layer spike count the stimulus
-// elicits (the fast-path value of L5), simulated on the reference kernels
-// — it serves the ReferenceEngine baseline, whose allocation profile it
-// preserves.
-func hiddenTraffic(net *snn.Network, stim *tensor.Tensor) float64 {
-	sc := net.NewScratch()
-	sc.SetReference(true)
-	rec, _ := sc.RunFrom(0, nil, stim)
-	return sumHidden(rec)
 }
 
 // sumHidden totals the spike counts of every non-output layer.
@@ -352,9 +301,9 @@ func sumHidden(rec *snn.Record) float64 {
 }
 
 // countActivatedMasked counts the neurons inside the mask whose recorded
-// spike train carries at least one spike, scanning the record in place —
-// the mapless equivalent of countMasked over ActivatedNeurons(offsets, 1),
-// run every optimization step on the buffer-reusing engine.
+// spike train carries at least one spike, scanning the record in place
+// without materializing the ActivatedNeurons map — run every stage-1
+// optimization step.
 //
 //snn:hotpath
 func countActivatedMasked(rec *snn.Record, mask *LayerMask, net *snn.Network) int {
@@ -386,21 +335,4 @@ func containsAll(set, subset map[int]bool) bool {
 		}
 	}
 	return true
-}
-
-// countMasked counts activated neurons that lie inside the mask (the
-// newly activated members of N_T).
-//
-//snn:hotpath
-func countMasked(act map[int]bool, mask *LayerMask, offsets []int, net *snn.Network) int {
-	n := 0
-	for li, l := range net.Layers {
-		mv := mask.maskFor(li)
-		for j := 0; j < l.NumNeurons(); j++ {
-			if (mv == nil || mv.Data()[j] == 1) && act[offsets[li]+j] { //lint:ignore floateq layer masks hold exactly 0 or 1
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -1,7 +1,6 @@
-// Package encode converts between analog frames and spike-train tensors:
-// DVS-style polarity events from consecutive intensity frames, and
-// per-element spike counts from a stimulus. Stimuli are binary tensors of
-// shape [T, frame...].
+// Package encode converts analog frames into spike-train tensors:
+// DVS-style polarity events from consecutive intensity frames. Stimuli
+// are binary tensors of shape [T, frame...].
 package encode
 
 import (
@@ -9,25 +8,6 @@ import (
 
 	"github.com/repro/snntest/internal/tensor"
 )
-
-// Counts decodes a stimulus [T, frame...] into per-element spike counts
-// with the frame's shape.
-func Counts(stim *tensor.Tensor) *tensor.Tensor {
-	shape := stim.Shape()
-	if len(shape) < 2 {
-		failf("stimulus must be [T, frame...], got %v", shape)
-	}
-	steps := shape[0]
-	frame := stim.Len() / steps
-	out := tensor.New(shape[1:]...)
-	sd, od := stim.Data(), out.Data()
-	for t := 0; t < steps; t++ {
-		for i := 0; i < frame; i++ {
-			od[i] += sd[t*frame+i]
-		}
-	}
-	return out
-}
 
 // EventsFromMotion converts a pair of consecutive intensity frames into
 // DVS-style polarity events: channel 0 (ON) fires where brightness

@@ -6,17 +6,6 @@ import (
 	"github.com/repro/snntest/internal/tensor"
 )
 
-func TestCountsRoundTrip(t *testing.T) {
-	stim := tensor.New(3, 2)
-	stim.Set(1, 0, 0)
-	stim.Set(1, 2, 0)
-	stim.Set(1, 1, 1)
-	c := Counts(stim)
-	if c.At(0) != 2 || c.At(1) != 1 {
-		t.Errorf("Counts = %v", c)
-	}
-}
-
 func TestEventsFromMotion(t *testing.T) {
 	prev := tensor.FromSlice([]float64{0, 1, 0.5, 0.5}, 2, 2)
 	cur := tensor.FromSlice([]float64{1, 0, 0.5, 0.6}, 2, 2)

@@ -15,9 +15,6 @@ type Options struct {
 	// CachePath names the persistent diagnostics cache file; empty
 	// disables caching.
 	CachePath string
-	// Baseline, when non-nil, filters accepted pre-existing findings
-	// from the output (see LoadBaseline).
-	Baseline *Baseline
 }
 
 // Stats summarizes one driver run.
@@ -31,8 +28,6 @@ type Stats struct {
 	// Suppressed counts findings dropped by //lint:ignore directives
 	// (including inside cached packages).
 	Suppressed int
-	// Baselined counts findings absorbed by the -baseline file.
-	Baselined int
 	// Wall is the end-to-end driver time, scan to sorted output.
 	Wall time.Duration
 }
@@ -46,9 +41,8 @@ type Result struct {
 // AnalyzeModule is the incremental parallel driver: it scans the module
 // rooted at (or above) dir, serves unchanged packages from the cache,
 // type-checks and analyzes the rest concurrently, applies //lint:ignore
-// suppressions and the baseline, and returns globally sorted
-// diagnostics. The output is bit-identical for any worker count and for
-// warm versus cold caches.
+// suppressions, and returns globally sorted diagnostics. The output is
+// bit-identical for any worker count and for warm versus cold caches.
 func AnalyzeModule(dir string, analyzers []*Analyzer, opts Options) (*Result, error) {
 	start := time.Now()
 	workers := opts.Workers
@@ -113,7 +107,6 @@ func AnalyzeModule(dir string, analyzers []*Analyzer, opts Options) (*Result, er
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool { return diagLess(diags[i], diags[j]) })
-	diags, res.Stats.Baselined = opts.Baseline.apply(mod.Dir, diags)
 	res.Diagnostics = diags
 
 	if err := cache.Save(); err != nil {

@@ -234,43 +234,3 @@ func Malformed(x, y float64) bool {
 		t.Errorf("got %d surviving floateq findings, want 1 (under the malformed directive): %v", floateq, res.Diagnostics)
 	}
 }
-
-// TestBaselineBudget checks count-budget semantics: a baseline entry
-// absorbs exactly as many matching findings as were recorded.
-func TestBaselineBudget(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod": "module example.com/bl\n\ngo 1.22\n",
-		"p/p.go": `package p
-
-func A(x, y float64) bool { return x == y }
-
-func B(x, y float64) bool { return x == y }
-`,
-	})
-	first, err := AnalyzeModule(dir, All(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first.Diagnostics) != 2 {
-		t.Fatalf("want 2 findings to baseline, got %v", first.Diagnostics)
-	}
-	blPath := filepath.Join(dir, "baseline.json")
-	// Record only ONE of the two identical findings.
-	if err := WriteBaseline(blPath, dir, first.Diagnostics[:1]); err != nil {
-		t.Fatal(err)
-	}
-	bl, err := LoadBaseline(blPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := AnalyzeModule(dir, All(), Options{Baseline: bl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Baselined != 1 || len(res.Diagnostics) != 1 {
-		t.Errorf("budget of 1 should absorb exactly one finding: baselined=%d kept=%v", res.Stats.Baselined, res.Diagnostics)
-	}
-	if _, err := LoadBaseline(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing baseline file must be an error")
-	}
-}

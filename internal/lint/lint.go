@@ -33,8 +33,8 @@
 // parsing and type-checking entirely, and the rest are type-checked and
 // analyzed concurrently with deterministic, worker-count-independent
 // output. Findings are filtered through //lint:ignore suppression
-// directives (with an unused-directive check) and an optional accepted-
-// findings baseline. verify.sh wires the suite into the tier-1+ gate.
+// directives (with an unused-directive check). verify.sh wires the suite
+// into the tier-1+ gate.
 package lint
 
 import (

@@ -306,21 +306,3 @@ func (b *CurveBuilder) Apply(e Entry) {
 		b.End(e.Done, e.Total)
 	}
 }
-
-// FromEntries derives a run's curve from its journal entries.
-func FromEntries(entries []Entry) Curve {
-	run, phase := "", ""
-	for _, e := range entries {
-		if run == "" {
-			run = e.Run
-		}
-		if phase == "" && e.Kind == string(obs.KindRunStart) {
-			phase = e.Name
-		}
-	}
-	b := NewCurveBuilder(run, phase)
-	for _, e := range entries {
-		b.Apply(e)
-	}
-	return b.Curve()
-}

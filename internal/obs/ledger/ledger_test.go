@@ -107,7 +107,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("lifecycle entries out of order: first %q last %q", entries[0].Kind, entries[7].Kind)
 	}
 
-	c := FromEntries(entries)
+	c := foldCurve(run, entries)
 	if c.Run != run || c.Phase != "campaign/simulate" || !c.Terminal {
 		t.Errorf("curve header wrong: %+v", c)
 	}
@@ -192,7 +192,7 @@ func TestTruncatedJournal(t *testing.T) {
 	if got := obsLedgerTornLines.Value() - before; got != 1 {
 		t.Errorf("ledger_torn_lines_total advanced by %d, want 1", got)
 	}
-	c := FromEntries(entries)
+	c := foldCurve(run, entries)
 	if c.Terminal {
 		t.Error("torn journal must not read as terminal")
 	}
@@ -247,4 +247,15 @@ func TestNewRunIDSafeAndUnique(t *testing.T) {
 	if !strings.HasPrefix(a, "campaign-simulate-") {
 		t.Errorf("run id should carry the slugged phase: %q", a)
 	}
+}
+
+// foldCurve folds a run's journal entries into its curve the way
+// telemetry's Rehydrate does: a builder with no phase, which the
+// run_start entry supplies.
+func foldCurve(run string, entries []Entry) Curve {
+	b := NewCurveBuilder(run, "")
+	for _, e := range entries {
+		b.Apply(e)
+	}
+	return b.Curve()
 }

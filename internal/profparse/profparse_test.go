@@ -153,6 +153,27 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// FuzzParse feeds arbitrary bytes to the decoder: it must return either
+// a profile or an error, and never panic. Seeded with the synthetic
+// profile, raw and gzipped, truncations of both, and a sample_type field
+// whose length varint claims 2⁶⁰ bytes.
+func FuzzParse(f *testing.F) {
+	for _, gz := range []bool{false, true} {
+		data := testProfile(gz)
+		f.Add(data)
+		for _, n := range []int{1, 2, len(data) / 3, len(data) / 2, len(data) - 1} {
+			f.Add(data[:n])
+		}
+	}
+	f.Add([]byte{0x0a, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Parse(data)
+		if err == nil && p == nil {
+			t.Fatal("Parse returned neither a profile nor an error")
+		}
+	})
+}
+
 func TestFoldByPhase(t *testing.T) {
 	p, err := Parse(testProfile(true))
 	if err != nil {

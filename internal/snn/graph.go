@@ -28,13 +28,8 @@ func (g *GraphResult) LayerCounts(layer int) *ag.Node {
 // OutputLayer returns the index of the last layer.
 func (g *GraphResult) OutputLayer() int { return len(g.Spikes) - 1 }
 
-// ToRecord copies the forward spike values into a plain Record so that
-// the fast-path metrics can be reused on graph results.
-func (g *GraphResult) ToRecord(n *Network) *Record {
-	return g.ToRecordInto(n, nil)
-}
-
-// ToRecordInto is the buffer-reusing variant of ToRecord: when rec is
+// ToRecordInto copies the forward spike values into a plain Record so
+// that the fast-path metrics can be reused on graph results. When rec is
 // non-nil and already shaped for (n, g.Steps) it is overwritten in place
 // and returned; otherwise a fresh record is allocated. Iterating
 // optimizers pass their previous record back in, so the per-iteration
@@ -68,9 +63,9 @@ func (n *Network) RunGraph(inputSteps []*ag.Node) *GraphResult {
 // fused autograd LIF kernels (ag.OneMinusSpike, ag.LIFStep) instead of
 // the composed Scale/Mul/Add chain. Spike values and every gradient are
 // bit-identical to RunGraph — the fused ops replay the same float
-// sequence — so the fast generation engine uses it as a drop-in graph
-// builder; RunGraph remains the reference form the equivalence suite
-// pins it against.
+// sequence — so the generation engine uses it as a drop-in graph
+// builder; RunGraph remains the oracle form that internal/core's
+// TestEquivGenerationGraph and FuzzRunGraphFused pin it against.
 func (n *Network) RunGraphFused(inputSteps []*ag.Node) *GraphResult {
 	return n.runGraph(inputSteps, true)
 }

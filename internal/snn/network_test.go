@@ -161,7 +161,7 @@ func TestGraphMatchesFastPath(t *testing.T) {
 		for t2 := 0; t2 < 15; t2++ {
 			steps[t2] = ag.Const(tensor.FromSlice(in.Data()[t2*frame:(t2+1)*frame], n.InShape...))
 		}
-		graph := n.RunGraph(steps).ToRecord(n)
+		graph := n.RunGraph(steps).ToRecordInto(n, nil)
 
 		for li := range fast.Layers {
 			if !tensor.Equal(fast.Layers[li], graph.Layers[li], 0) {

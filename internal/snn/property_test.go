@@ -66,7 +66,7 @@ func TestGraphFastEquivalenceProperty(t *testing.T) {
 		for s := 0; s < steps; s++ {
 			nodes[s] = ag.Const(tensor.FromSlice(stim.Data()[s*frame:(s+1)*frame], net.InShape...))
 		}
-		graph := net.RunGraph(nodes).ToRecord(net)
+		graph := net.RunGraph(nodes).ToRecordInto(net, nil)
 		for li := range fast.Layers {
 			if !tensor.Equal(fast.Layers[li], graph.Layers[li], 0) {
 				return false

@@ -18,11 +18,11 @@ func ConvOutDim(in, k, stride, pad int) int {
 //
 // When the result is arena-backed (an operand is arena-tagged) the
 // convolution runs through the im2col kernel with the column buffer drawn
-// from the same arena: the fast generation engine gets the branch-free
-// path while heap callers — including the reference engine — keep the
-// naive loops below, which remain the comparison baseline. The two paths
-// are bit-identical (see the im2col numerical contract; the fuzz harness
-// differentiates them).
+// from the same arena: the generation engine gets the branch-free path
+// while heap callers — including the heap-side graph of the generation
+// oracle — keep the naive loops below, which remain the comparison
+// baseline. The two paths are bit-identical (see the im2col numerical
+// contract; the fuzz harness differentiates them).
 func Conv2D(x, w *Tensor, spec ConvSpec) *Tensor {
 	if x.Rank() != 3 || w.Rank() != 4 {
 		failf("Conv2D requires input rank 3 and kernel rank 4, got %v and %v", x.shape, w.shape)

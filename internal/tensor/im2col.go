@@ -130,7 +130,7 @@ func Conv2DColInto(out, col []float64, w *Tensor) {
 // explicit column matrix. It allocates its own buffers and exists as the
 // self-contained, reference-comparable form of the im2col path (the fuzz
 // harness differentiates it against the naive Conv2D); the arena-backed
-// Conv2D of the fast generation engine calls Im2Col + Conv2DColInto over
+// Conv2D of the generation engine calls Im2Col + Conv2DColInto over
 // arena scratch.
 func Conv2DIm2Col(x, w *Tensor, spec ConvSpec) *Tensor {
 	if x.Rank() != 3 || w.Rank() != 4 {

@@ -19,9 +19,12 @@ go test -race ./...
 # AST audit that fails when an op lacks a gradcheck case.
 go test -run GradCheck ./internal/autograd/
 # Determinism/equivalence gate: the Equiv tests pin (a) the incremental
-# golden-trace-replay campaign to the full re-simulation reference and
-# (b) the multi-restart generator's determinism — worker-count
-# invariance, Restarts 0 and 1 agreement, and the seed-pinned
+# golden-trace-replay campaign to the full re-simulation reference,
+# (b) the generation engine's arena-backed fused graph to the composed
+# heap RunGraph oracle — spike frames, losses and input gradients bit
+# for bit over several optimization steps and a growth — and (c) the
+# multi-restart generator's determinism — worker-count invariance,
+# Restarts 0 and 1 agreement, and the seed-pinned
 # Generate→Compact→fault-classification pipeline golden — and must
 # survive repeated runs bit-identically.
 go test -run Equiv -count=2 ./...
@@ -33,11 +36,16 @@ go test -run Equiv -count=2 ./...
 # The fused-vs-reference equivalence suite itself already runs under the
 # Equiv gate above.
 go test -run 'ZeroAlloc|TestScratch|TestStepLayer' ./internal/snn/
-# Fuzz smoke: ten seconds of coverage-guided differential fuzzing per
-# fused-kernel target (dense/recurrent, and conv/pool over random
-# geometry and non-binary stimuli) beyond their committed seed corpora.
+# Fuzz smoke: ten seconds of coverage-guided fuzzing per target beyond
+# its seeds: the fused forward kernels (dense/recurrent, and conv/pool
+# over random geometry and non-binary stimuli), the generation graph
+# against its RunGraph oracle (fixture, builder seed, duration, τ, noise
+# seed), and the pprof decoder, which must reject arbitrary bytes with
+# an error and never panic.
 go test -run '^$' -fuzz '^FuzzFusedLIF$' -fuzztime 10s ./internal/snn/
 go test -run '^$' -fuzz '^FuzzFusedConvPool$' -fuzztime 10s ./internal/snn/
+go test -run '^$' -fuzz '^FuzzRunGraphFused$' -fuzztime 10s ./internal/core/
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/profparse/
 # Observability gate: the obs layer must be race-clean (spans and
 # counters are hit from every campaign/generation worker), and the
 # quickstart trace tests assert that a -trace run emits parseable JSONL
