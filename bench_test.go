@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +26,6 @@ import (
 	"github.com/repro/snntest/internal/core"
 	"github.com/repro/snntest/internal/experiments"
 	"github.com/repro/snntest/internal/fault"
-	"github.com/repro/snntest/internal/lint"
 	"github.com/repro/snntest/internal/snn"
 	"github.com/repro/snntest/internal/tensor"
 )
@@ -463,42 +461,4 @@ func BenchmarkExtendedFaultModel(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(len(extended)), "faults")
 	b.ReportMetric(100*float64(detected)/float64(len(extended)), "fc%")
-}
-
-// BenchmarkLintDriver times the static-analysis driver over the whole
-// module: the timed loop is the warm-cache incremental path (the
-// editor/CI steady state), and the one-shot serial-cold versus
-// parallel-cold versus warm comparison is reported as parallel-x and
-// cached-x. cached-x is the headline the driver exists for: warm
-// incremental runs versus a from-scratch serial walk.
-func BenchmarkLintDriver(b *testing.B) {
-	workers := runtime.GOMAXPROCS(0)
-	time1 := func(opts lint.Options) (*lint.Result, time.Duration) {
-		start := time.Now()
-		res, err := lint.AnalyzeModule(".", lint.All(), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res, time.Since(start)
-	}
-	cache := b.TempDir() + "/lint-cache.json"
-	resSerial, tSerial := time1(lint.Options{Workers: 1})
-	_, tParallel := time1(lint.Options{Workers: workers, CachePath: cache})
-
-	var resWarm *lint.Result
-	var tWarm time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resWarm, tWarm = time1(lint.Options{Workers: workers, CachePath: cache})
-	}
-	b.StopTimer()
-	if resWarm.Stats.Cached != resWarm.Stats.Packages {
-		b.Fatalf("warm run missed the cache: %+v", resWarm.Stats)
-	}
-	if len(resWarm.Diagnostics) != len(resSerial.Diagnostics) {
-		b.Fatalf("warm diagnostics diverge from serial: %d vs %d",
-			len(resWarm.Diagnostics), len(resSerial.Diagnostics))
-	}
-	b.ReportMetric(float64(tSerial)/float64(tParallel), "parallel-x")
-	b.ReportMetric(float64(tSerial)/float64(tWarm), "cached-x")
 }

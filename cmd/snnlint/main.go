@@ -6,15 +6,12 @@
 //
 //	go run ./cmd/snnlint ./...
 //	go run ./cmd/snnlint -json ./...
-//	go run ./cmd/snnlint -cache .snnlint-cache.json ./...
 //	go run ./cmd/snnlint -list
 //
 // The module is always analyzed as a whole (package patterns are
 // accepted for command-line symmetry with go vet but do not narrow the
-// walk) through the incremental parallel driver: -cache persists
-// per-package results keyed by content hash so unchanged packages skip
-// parsing and type-checking, and -workers bounds the concurrency (the
-// output is identical for every value). See internal/lint for the
+// walk): every package is parsed once and type-checked in dependency
+// order, then analyzed in that order. See internal/lint for the
 // analyzers and README.md for how to add one. snnlint shares the
 // repo-wide observability flags (-v, -quiet, -trace, -serve,
 // -profile-dir) with the other cmds.
@@ -58,8 +55,6 @@ func run(args []string, dir string, stdout, stderr io.Writer) (findings int, err
 	ocli.Register(fs)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	workers := fs.Int("workers", 0, "type-check/analysis concurrency (0 = GOMAXPROCS; output is identical for every value)")
-	cachePath := fs.String("cache", "", "persistent per-package diagnostics cache file (empty = no cache)")
 	if err := fs.Parse(args); err != nil {
 		return 0, err
 	}
@@ -80,7 +75,7 @@ func run(args []string, dir string, stdout, stderr io.Writer) (findings int, err
 		return 0, nil
 	}
 
-	res, err := lint.AnalyzeModule(dir, lint.All(), lint.Options{Workers: *workers, CachePath: *cachePath})
+	res, err := lint.AnalyzeModule(dir, lint.All())
 	if err != nil {
 		return 0, err
 	}
@@ -102,7 +97,7 @@ func run(args []string, dir string, stdout, stderr io.Writer) (findings int, err
 			fmt.Fprintln(stdout, d)
 		}
 	}
-	fmt.Fprintf(stderr, "snnlint: %d package(s): %d analyzed, %d cached; %d suppressed, %d finding(s) in %v\n",
-		st.Packages, st.Analyzed, st.Cached, st.Suppressed, len(res.Diagnostics), st.Wall.Round(time.Millisecond))
+	fmt.Fprintf(stderr, "snnlint: %d package(s): %d suppressed, %d finding(s) in %v\n",
+		st.Packages, st.Suppressed, len(res.Diagnostics), st.Wall.Round(time.Millisecond))
 	return len(res.Diagnostics), nil
 }

@@ -78,7 +78,6 @@ func gradCases() []gradCase {
 	w4 := tensor.RandNormal(rng, 0, 1, 4)
 
 	spikeIn := awayFromZero(rng, 8) // |u−θ| ≥ 0.2 with θ=0 below
-	detachBase := tensor.RandNormal(rng, 0, 1, 8)
 
 	// Fused LIF kernel operands: a mixed refractory gate plus fixed
 	// membrane/one-minus/current tensors for the per-operand variants.
@@ -156,20 +155,6 @@ func gradCases() []gradCase {
 				s := 0.0
 				for i, v := range xt.Data() {
 					s += w8.Data()[i] * v / (1 + SurrogateScale*math.Abs(v))
-				}
-				return s
-			},
-		},
-		{
-			// Detach stops gradients: the detached factor must act as a
-			// constant frozen at the linearization point.
-			op: "Detach", x: detachBase,
-			build: func(a *Node) *Node { return Sum(Mul(a, Detach(Square(a)))) },
-			eval: func(xt *tensor.Tensor) float64 {
-				s := 0.0
-				for i, v := range xt.Data() {
-					c := detachBase.Data()[i]
-					s += v * c * c
 				}
 				return s
 			},

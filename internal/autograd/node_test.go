@@ -149,15 +149,6 @@ func TestReshapeGradient(t *testing.T) {
 	checkGrad(t, "Reshape", x, func(xn *Node) *Node { return Sum(Square(Reshape(xn, 2, 3))) }, 1e-5)
 }
 
-func TestDetachStopsGradient(t *testing.T) {
-	x := Leaf(tensor.Scalar(2))
-	root := Sum(Mul(Detach(x), x)) // d/dx (const(2)·x) = 2, not 2x=4
-	Backward(root)
-	if g := x.Grad.Data()[0]; g != 2 {
-		t.Errorf("Detach grad = %g, want 2", g)
-	}
-}
-
 func TestSliceGradientRouting(t *testing.T) {
 	x := Leaf(tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 6))
 	// Loss touches only the middle slice; gradient lands there only.

@@ -138,11 +138,6 @@ func Mean(a *Node) *Node {
 	return Scale(Sum(a), 1/float64(n))
 }
 
-// Detach returns a constant view of a's value: gradients stop here. It is
-// used for the refractory gates of LIF neurons and for the stage-2
-// reference output trains, which the paper treats as fixed targets.
-func Detach(a *Node) *Node { return Const(a.Value) }
-
 // MatVec returns w·x for matrix node w (out×in) and vector node x (in),
 // differentiable in both operands.
 func MatVec(w, x *Node) *Node {

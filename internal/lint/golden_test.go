@@ -183,8 +183,7 @@ func TestRunModuleClean(t *testing.T) {
 		t.Skip("module-wide lint run is slow")
 	}
 	mod := loadGoldenModule(t)
-	diags := Run(mod, All())
-	for _, d := range diags {
+	for _, d := range Run(mod, All()).Diagnostics {
 		t.Error(fmt.Sprintf("unexpected finding: %s", d))
 	}
 }

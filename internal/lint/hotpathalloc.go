@@ -279,7 +279,7 @@ func moduleInternalFunc(p *Pass, fn *types.Func) bool {
 }
 
 // findFuncDecl locates fn's declaration and the types.Info of its
-// package: the analyzed package itself, or any loaded module package.
+// package: the analyzed package itself, or any other module package.
 // Positions are comparable because the whole module shares one FileSet.
 func findFuncDecl(p *Pass, fn *types.Func) (*ast.FuncDecl, *types.Info) {
 	search := func(files []*ast.File, info *types.Info) *ast.FuncDecl {
@@ -295,7 +295,7 @@ func findFuncDecl(p *Pass, fn *types.Func) (*ast.FuncDecl, *types.Info) {
 	if fd := search(p.Files, p.Info); fd != nil {
 		return fd, p.Info
 	}
-	if pkg, ok := p.Module.byPath[fn.Pkg().Path()]; ok && pkg.parsed && pkg.Info != nil {
+	if pkg, ok := p.Module.byPath[fn.Pkg().Path()]; ok {
 		if fd := search(pkg.Files, pkg.Info); fd != nil {
 			return fd, pkg.Info
 		}

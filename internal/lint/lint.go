@@ -27,14 +27,12 @@
 //     audited equality helpers,
 //   - deferloop: no defer statements inside for/range loops.
 //
-// The cmd/snnlint CLI drives these over the whole module through the
-// incremental parallel driver (AnalyzeModule): per-package diagnostics
-// are cached keyed by a content-hash action ID, unchanged packages skip
-// parsing and type-checking entirely, and the rest are type-checked and
-// analyzed concurrently with deterministic, worker-count-independent
-// output. Findings are filtered through //lint:ignore suppression
-// directives (with an unused-directive check). verify.sh wires the suite
-// into the tier-1+ gate.
+// The cmd/snnlint CLI drives these over the whole module through one
+// driver (AnalyzeModule): LoadModule parses every package once and
+// type-checks the packages in dependency order, then Run analyzes them
+// in that order, filters the findings through //lint:ignore suppression
+// directives (with an unused-directive check) and sorts them. verify.sh
+// wires the suite into the tier-1+ gate.
 package lint
 
 import (
@@ -42,9 +40,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
-	"sort"
-	"sync"
 )
 
 // Diagnostic is one analyzer finding at a source position.
@@ -100,41 +95,6 @@ func All() []*Analyzer {
 	}
 }
 
-// Run applies the analyzers to every package of a fully loaded module
-// (see LoadModule) plus the module-level go.mod dependency check,
-// honoring //lint:ignore suppressions, and returns diagnostics sorted by
-// file, line and column. Packages are analyzed concurrently; the output
-// is identical to a serial run. Incremental callers with a cache use
-// AnalyzeModule instead.
-func Run(mod *Module, analyzers []*Analyzer) []Diagnostic {
-	workers := runtime.GOMAXPROCS(0)
-	perPkg := make([][]Diagnostic, len(mod.Pkgs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, pkg := range mod.Pkgs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, pkg *Package) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			raw := analyzePackage(mod, pkg, analyzers)
-			perPkg[i], _ = applySuppressions(mod, pkg, raw)
-		}(i, pkg)
-	}
-	wg.Wait()
-	var diags []Diagnostic
-	for _, d := range perPkg {
-		diags = append(diags, d...)
-	}
-	for _, a := range analyzers {
-		if a == StdlibOnly {
-			diags = append(diags, goModDiagnostics(mod)...)
-		}
-	}
-	sort.Slice(diags, func(i, j int) bool { return diagLess(diags[i], diags[j]) })
-	return diags
-}
-
 // diagLess is the canonical diagnostic order: file, line, column,
 // analyzer, message — a total order, so sorted output is deterministic
 // even when two analyzers flag the same position.
@@ -154,8 +114,8 @@ func diagLess(a, b Diagnostic) bool {
 	return a.Message < b.Message
 }
 
-// RunPackage applies one analyzer to a single package — the golden-test
-// entry point.
+// RunPackage applies one analyzer to a single package: Run calls it per
+// analyzer, and the golden tests call it directly.
 func RunPackage(mod *Module, pkg *Package, a *Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	a.Run(&Pass{

@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -11,35 +9,24 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// Package is one package of the module. ScanModule populates the cheap
-// metadata (directory, file bytes, import graph, content hash); the full
-// ASTs and type information are filled in lazily by EnsureChecked, so a
-// cache-hit run never pays for parsing bodies or type-checking.
+// Package is one package of the module, parsed with comments and
+// type-checked by LoadModule.
 type Package struct {
 	Path  string // import path
 	Dir   string
-	Files []*ast.File // non-test files; nil until parsed by EnsureChecked
+	Files []*ast.File // non-test files, sorted by name
 	Types *types.Package
 	Info  *types.Info
 
-	fileNames []string          // sorted absolute paths of the non-test .go files
-	srcs      map[string][]byte // file path → raw bytes (from the scan)
-	deps      []string          // module-internal imports
-	hash      string            // content hash over fileNames+srcs
-	parsed    bool
-	checked   bool
+	srcs map[string][]byte // file path → raw bytes
+	deps []string          // module-internal imports
 }
 
-// Hash returns the hex content hash of the package's non-test sources.
-func (p *Package) Hash() string { return p.hash }
-
-// Module is the scanned Go module under analysis.
+// Module is the loaded Go module under analysis.
 type Module struct {
 	Path  string // module path from go.mod
 	Dir   string // directory containing go.mod
@@ -49,29 +36,13 @@ type Module struct {
 
 	byPath   map[string]*Package
 	importer types.Importer
-	impMu    sync.Mutex // serializes the shared (GOROOT source) importer
 }
 
-// LoadModule scans the module and parses + type-checks every package —
-// the full, non-incremental load used by the golden-fixture tests and by
-// callers that need every package's type information up front.
+// LoadModule locates the go.mod at or above dir, parses every non-test
+// .go file of the module once (with comments), orders the packages
+// dependencies-first and type-checks them in that order, so each
+// package's module-internal imports resolve to already-checked packages.
 func LoadModule(dir string) (*Module, error) {
-	mod, err := ScanModule(dir)
-	if err != nil {
-		return nil, err
-	}
-	if err := mod.EnsureChecked(mod.Pkgs, runtime.GOMAXPROCS(0)); err != nil {
-		return nil, err
-	}
-	return mod, nil
-}
-
-// ScanModule locates the go.mod at or above dir and performs the cheap
-// discovery pass: it reads every non-test .go file of the module, parses
-// import clauses only, builds the dependency graph in topological order
-// and computes per-package content hashes. No function bodies are parsed
-// and nothing is type-checked.
-func ScanModule(dir string) (*Module, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -92,16 +63,16 @@ func ScanModule(dir string) (*Module, error) {
 		std: importer.ForCompiler(mod.Fset, "source", nil),
 	}
 
-	if err := mod.scanAll(); err != nil {
+	if err := mod.parseAll(); err != nil {
 		return nil, err
 	}
-	ordered, err := mod.topoSort()
-	if err != nil {
+	if mod.Pkgs, err = mod.topoSort(); err != nil {
 		return nil, err
 	}
-	mod.Pkgs = ordered
-	for _, pkg := range ordered {
-		pkg.hash = contentHash(pkg)
+	for _, pkg := range mod.Pkgs {
+		if err := mod.check(pkg); err != nil {
+			return nil, err
+		}
 	}
 	return mod, nil
 }
@@ -135,10 +106,9 @@ func parseModulePath(goMod string) string {
 	return ""
 }
 
-// scanAll discovers every package directory (skipping testdata, hidden
-// and underscore-prefixed directories), reads its non-test files and
-// parses their import clauses.
-func (m *Module) scanAll() error {
+// parseAll discovers every package directory (skipping testdata, hidden
+// and underscore-prefixed directories) and parses its non-test files.
+func (m *Module) parseAll() error {
 	return filepath.WalkDir(m.Dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -166,13 +136,11 @@ func (m *Module) scanAll() error {
 			if rerr != nil {
 				return rerr
 			}
-			// Imports-only parse: enough for the dependency graph; full
-			// ASTs are built lazily for the packages that need analysis.
-			f, perr := parser.ParseFile(token.NewFileSet(), full, src, parser.ImportsOnly)
+			f, perr := parser.ParseFile(m.Fset, full, src, parser.ParseComments)
 			if perr != nil {
 				return fmt.Errorf("lint: %w", perr)
 			}
-			pkg.fileNames = append(pkg.fileNames, full)
+			pkg.Files = append(pkg.Files, f)
 			pkg.srcs[full] = src
 			for _, spec := range f.Imports {
 				ip := strings.Trim(spec.Path.Value, `"`)
@@ -181,10 +149,9 @@ func (m *Module) scanAll() error {
 				}
 			}
 		}
-		if len(pkg.fileNames) == 0 {
+		if len(pkg.Files) == 0 {
 			return nil
 		}
-		sort.Strings(pkg.fileNames)
 		rel, err := filepath.Rel(m.Dir, path)
 		if err != nil {
 			return err
@@ -200,16 +167,6 @@ func (m *Module) scanAll() error {
 		m.byPath[pkg.Path] = pkg
 		return nil
 	})
-}
-
-// contentHash digests the package's file names and bytes.
-func contentHash(pkg *Package) string {
-	h := sha256.New()
-	for _, fn := range pkg.fileNames {
-		fmt.Fprintf(h, "%s\x00%d\x00", filepath.Base(fn), len(pkg.srcs[fn]))
-		h.Write(pkg.srcs[fn])
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // topoSort orders packages dependencies-first so type-checking can
@@ -258,138 +215,8 @@ func (m *Module) topoSort() ([]*Package, error) {
 	return ordered, nil
 }
 
-// closure returns targets plus all their transitive module-internal
-// dependencies, in the module's topological order.
-func (m *Module) closure(targets []*Package) []*Package {
-	need := make(map[*Package]bool)
-	var add func(p *Package)
-	add = func(p *Package) {
-		if need[p] {
-			return
-		}
-		need[p] = true
-		for _, dep := range p.deps {
-			add(m.byPath[dep])
-		}
-	}
-	for _, p := range targets {
-		add(p)
-	}
-	out := make([]*Package, 0, len(need))
-	for _, p := range m.Pkgs {
-		if need[p] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// parse builds the package's full ASTs (with comments) from the bytes
-// captured at scan time.
-func (m *Module) parse(pkg *Package) error {
-	if pkg.parsed {
-		return nil
-	}
-	for _, fn := range pkg.fileNames {
-		f, err := parser.ParseFile(m.Fset, fn, pkg.srcs[fn], parser.ParseComments)
-		if err != nil {
-			return fmt.Errorf("lint: %w", err)
-		}
-		pkg.Files = append(pkg.Files, f)
-	}
-	pkg.parsed = true
-	return nil
-}
-
-// EnsureChecked parses and type-checks the given packages plus their
-// transitive module-internal dependencies, running up to workers
-// type-checks concurrently. Packages are scheduled dependencies-first:
-// a package starts checking only after every dependency has finished,
-// so the shared module importer always resolves internal imports from
-// completed packages. Already-checked packages are skipped, making the
-// call idempotent and incremental.
-func (m *Module) EnsureChecked(targets []*Package, workers int) error {
-	if workers < 1 {
-		workers = 1
-	}
-	need := m.closure(targets)
-	var todo []*Package
-	for _, pkg := range need {
-		if !pkg.checked {
-			todo = append(todo, pkg)
-		}
-	}
-	if len(todo) == 0 {
-		return nil
-	}
-	// token.FileSet is internally synchronized, so the full parses can
-	// proceed concurrently before any type-checking starts.
-	if err := runLimited(todo, workers, m.parse); err != nil {
-		return err
-	}
-
-	done := make(map[*Package]chan struct{}, len(todo))
-	for _, pkg := range todo {
-		done[pkg] = make(chan struct{})
-	}
-	errs := make([]error, len(todo))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, pkg := range todo {
-		wg.Add(1)
-		go func(i int, pkg *Package) {
-			defer wg.Done()
-			defer close(done[pkg])
-			// Wait for module-internal dependencies being checked in
-			// this round; dependencies outside todo are already checked.
-			for _, dep := range pkg.deps {
-				if ch, ok := done[m.byPath[dep]]; ok {
-					<-ch
-				}
-			}
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[i] = m.check(pkg)
-		}(i, pkg)
-	}
-	wg.Wait()
-	// Report the first error in topological order so the message is
-	// deterministic and names the root cause, not a dependent's
-	// importer failure.
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runLimited applies fn to every package with at most workers running
-// concurrently, returning the first error in slice order.
-func runLimited(pkgs []*Package, workers int, fn func(*Package) error) error {
-	errs := make([]error, len(pkgs))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, pkg := range pkgs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, pkg *Package) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = fn(pkg)
-		}(i, pkg)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // check type-checks pkg with full info recording. Dependencies must be
-// checked already (EnsureChecked's scheduler guarantees it).
+// checked already (LoadModule's topological order guarantees it).
 func (m *Module) check(pkg *Package) error {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -404,7 +231,6 @@ func (m *Module) check(pkg *Package) error {
 	}
 	pkg.Types = tpkg
 	pkg.Info = info
-	pkg.checked = true
 	return nil
 }
 
@@ -427,10 +253,8 @@ func (m *Module) CheckPackage(path string, filenames []string, typecheck bool) (
 			return nil, fmt.Errorf("lint: %w", perr)
 		}
 		pkg.Files = append(pkg.Files, f)
-		pkg.fileNames = append(pkg.fileNames, fn)
 		pkg.srcs[fn] = src
 	}
-	pkg.parsed = true
 	if !typecheck {
 		pkg.Info = &types.Info{}
 		return pkg, nil
@@ -442,10 +266,8 @@ func (m *Module) CheckPackage(path string, filenames []string, typecheck bool) (
 }
 
 // moduleImporter resolves module-internal imports from the already
-// type-checked packages and everything else from GOROOT source. The
-// GOROOT source importer is not safe for concurrent use, so ImportFrom
-// serializes on the module's importer lock; its internal package cache
-// keeps repeat imports cheap.
+// type-checked packages and everything else from GOROOT source; the
+// source importer's internal package cache keeps repeat imports cheap.
 type moduleImporter struct {
 	mod *Module
 	std types.Importer
@@ -465,8 +287,6 @@ func (mi *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*
 	if path == mi.mod.Path || strings.HasPrefix(path, mi.mod.Path+"/") {
 		return nil, fmt.Errorf("lint: module package %s not found", path)
 	}
-	mi.mod.impMu.Lock()
-	defer mi.mod.impMu.Unlock()
 	if from, ok := mi.std.(types.ImporterFrom); ok {
 		return from.ImportFrom(path, dir, mode)
 	}

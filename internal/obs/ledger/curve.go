@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"math"
 	"sort"
 	"strconv"
 
@@ -78,7 +79,7 @@ type Curve struct {
 type latencyGroup struct {
 	count     int
 	min, max  int
-	sum       int64
+	sum       float64 // float so corrupt journal steps cannot wrap it
 	stepCount map[int]int
 }
 
@@ -93,33 +94,35 @@ func (g *latencyGroup) add(step int) {
 		g.max = step
 	}
 	g.count++
-	g.sum += int64(step)
+	g.sum += float64(step)
 	g.stepCount[step]++
 }
 
 // stats freezes the group into its served form, bucketing over [0, hi)
-// where hi is the stimulus duration when known, else max+1.
+// where hi is the stimulus duration when known, else max+1. Every bound
+// is computed without overflow (hi saturates at math.MaxInt), so a
+// journal line carrying an absurd divergence step cannot panic the fold.
 func (g *latencyGroup) stats(steps int) *LatencyStats {
 	s := &LatencyStats{Count: g.count, MinStep: g.min, MaxStep: g.max}
 	if g.count == 0 {
 		return s
 	}
-	s.MeanStep = float64(g.sum) / float64(g.count)
+	s.MeanStep = g.sum / float64(g.count)
 	hi := steps
 	if hi <= g.max {
-		hi = g.max + 1
+		hi = math.MaxInt
+		if g.max < math.MaxInt {
+			hi = g.max + 1
+		}
 	}
-	n := latencyBuckets
-	if n > hi {
-		n = hi
-	}
-	width := (hi + n - 1) / n
+	n := min(latencyBuckets, hi)
+	width := hi/n + min(hi%n, 1) // ceil(hi/n)
 	buckets := make([]LatencyBucket, n)
 	for i := range buckets {
 		buckets[i].Lo = i * width
-		buckets[i].Hi = (i + 1) * width
-		if buckets[i].Hi > hi {
-			buckets[i].Hi = hi
+		buckets[i].Hi = hi
+		if i < n-1 && (i+1)*width < hi {
+			buckets[i].Hi = (i + 1) * width
 		}
 	}
 	for step, c := range g.stepCount {

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -258,4 +259,26 @@ func foldCurve(run string, entries []Entry) Curve {
 		b.Apply(e)
 	}
 	return b.Curve()
+}
+
+// FuzzReadRun feeds arbitrary bytes to the journal reader and folds
+// whatever it decodes into a curve, the path telemetry's rehydration
+// takes at -serve -ledger startup: neither step may panic, and the
+// curve stays monotone. The committed corpus under testdata/fuzz holds a
+// valid three-line journal, a fault with div_step = math.MaxInt64 and a
+// torn final line. The fourth seed, a valid line followed by one past
+// the reader's 1 MiB bound, is generated here rather than committed.
+func FuzzReadRun(f *testing.F) {
+	f.Add([]byte(`{"kind":"run_start","run":"r","total":1}` + "\n" + strings.Repeat("x", maxJournalLine+1) + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "r.jsonl"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := ReadRun(dir, "r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMonotone(t, foldCurve("r", entries))
+	})
 }

@@ -36,12 +36,6 @@ func (ew *errWriter) println(args ...any) {
 	}
 }
 
-func (ew *errWriter) print(args ...any) {
-	if ew.err == nil {
-		_, ew.err = fmt.Fprint(ew.w, args...)
-	}
-}
-
 // Table writes an aligned text table with a title, header row and data
 // rows.
 func Table(w io.Writer, title string, headers []string, rows [][]string) error {

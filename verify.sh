@@ -11,9 +11,7 @@ cd "$(dirname "$0")"
 
 go build ./...
 go vet ./...
-# The incremental driver caches per-package results keyed by content
-# hash: repeat verify runs skip re-analyzing unchanged packages.
-go run ./cmd/snnlint -cache .snnlint-cache.json ./...
+go run ./cmd/snnlint ./...
 go test -race ./...
 # Gradient gate: finite-difference checks of every autograd op plus the
 # AST audit that fails when an op lacks a gradcheck case.
@@ -40,12 +38,16 @@ go test -run 'ZeroAlloc|TestScratch|TestStepLayer' ./internal/snn/
 # its seeds: the fused forward kernels (dense/recurrent, and conv/pool
 # over random geometry and non-binary stimuli), the generation graph
 # against its RunGraph oracle (fixture, builder seed, duration, τ, noise
-# seed), and the pprof decoder, which must reject arbitrary bytes with
-# an error and never panic.
+# seed), the pprof decoder, which must reject arbitrary bytes with an
+# error and never panic, and the ledger journal reader plus the curve
+# fold it feeds, which must never panic. FuzzReadRun seeds a line past the
+# reader's 1 MiB bound, and minimizing inputs that size would eat the
+# ten seconds, so its smoke skips minimization.
 go test -run '^$' -fuzz '^FuzzFusedLIF$' -fuzztime 10s ./internal/snn/
 go test -run '^$' -fuzz '^FuzzFusedConvPool$' -fuzztime 10s ./internal/snn/
 go test -run '^$' -fuzz '^FuzzRunGraphFused$' -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/profparse/
+go test -run '^$' -fuzz '^FuzzReadRun$' -fuzztime 10s -fuzzminimizetime 1x ./internal/obs/ledger/
 # Observability gate: the obs layer must be race-clean (spans and
 # counters are hit from every campaign/generation worker), and the
 # quickstart trace tests assert that a -trace run emits parseable JSONL
