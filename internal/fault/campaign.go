@@ -375,7 +375,7 @@ func ClassifyWith(golden *snn.Network, faults []Fault, samples []*tensor.Tensor,
 			var fullPerFault int64
 			for i, s := range samples {
 				goldenRecs[i] = golden.Run(s)
-				goldenPred[i] = tensor.ArgMax(goldenRecs[i].OutputCounts())
+				goldenPred[i] = goldenRecs[i].OutputArgMax()
 				fullPerFault += int64(len(golden.Layers)) * int64(goldenRecs[i].Steps)
 			}
 			return map[string]any{"samples": len(samples), "layers": len(golden.Layers)}, fullPerFault
@@ -393,15 +393,15 @@ func ClassifyWith(golden *snn.Network, faults []Fault, samples []*tensor.Tensor,
 			// detections into its final point.
 			out := obs.FaultOutcome{DivStep: -1}
 			for si, s := range samples {
-				var rec *snn.Record
-				var n int
-				if startLayer == 0 {
-					rec, n = inj.Scratch().RunFrom(0, nil, s)
-				} else {
-					rec, n = inj.Scratch().RunFrom(startLayer, goldenRecs[si], s)
+				// A golden record lends its active lists to the replay,
+				// start layer 0 included (the stimulus list).
+				g := goldenRecs[si]
+				if opts.FullResim {
+					g = nil
 				}
+				rec, n := inj.Scratch().RunFrom(startLayer, g, s)
 				out.LayerSteps += n
-				if tensor.ArgMax(rec.OutputCounts()) != goldenPred[si] {
+				if rec.OutputArgMax() != goldenPred[si] {
 					out.Detected = true
 					break
 				}
@@ -421,31 +421,58 @@ func ClassifyWith(golden *snn.Network, faults []Fault, samples []*tensor.Tensor,
 // golden). It quantifies the worst-case effect of a test escape
 // (Table III, last row).
 func AccuracyDrop(golden *snn.Network, f Fault, samples []*tensor.Tensor, labels []int) float64 {
-	correctGolden, correctFaulty := 0, 0
-	inj := NewInjector(golden)
-	revert := inj.Apply(f)
-	defer revert()
+	return newEscapeEval(golden, samples, labels).drop(f)
+}
+
+// escapeEval is what every accuracy-drop evaluation over one labelled
+// sample set shares: the golden records and golden-correct count, run
+// once, and one injector that each fault is applied to and reverted on.
+type escapeEval struct {
+	inj           *Injector
+	samples       []*tensor.Tensor
+	labels        []int
+	goldenRecs    []*snn.Record
+	correctGolden int
+}
+
+func newEscapeEval(golden *snn.Network, samples []*tensor.Tensor, labels []int) *escapeEval {
+	e := &escapeEval{inj: NewInjector(golden), samples: samples, labels: labels, goldenRecs: make([]*snn.Record, len(samples))}
 	for i, s := range samples {
-		goldenRec := golden.Run(s)
-		if tensor.ArgMax(goldenRec.OutputCounts()) == labels[i] {
-			correctGolden++
+		e.goldenRecs[i] = golden.Run(s)
+		if e.goldenRecs[i].OutputArgMax() == labels[i] {
+			e.correctGolden++
 		}
-		rec, _ := inj.Scratch().RunFrom(f.StartLayer(), goldenRec, s)
-		if tensor.ArgMax(rec.OutputCounts()) == labels[i] {
+	}
+	return e
+}
+
+// drop is AccuracyDrop of fault f.
+func (e *escapeEval) drop(f Fault) float64 {
+	revert := e.inj.Apply(f)
+	defer revert()
+	correctFaulty := 0
+	for i, s := range e.samples {
+		rec, _ := e.inj.Scratch().RunFrom(f.StartLayer(), e.goldenRecs[i], s)
+		if rec.OutputArgMax() == e.labels[i] {
 			correctFaulty++
 		}
 	}
-	return float64(correctGolden-correctFaulty) / float64(len(samples))
+	return float64(e.correctGolden-correctFaulty) / float64(len(e.samples))
 }
 
 // MaxEscapeDrop returns the maximum accuracy drop over the undetected
-// critical faults, split into neuron and synapse classes.
+// critical faults, split into neuron and synapse classes. The golden
+// records are run once, on the first escape, and shared by every fault.
 func MaxEscapeDrop(golden *snn.Network, faults []Fault, detected, critical []bool, samples []*tensor.Tensor, labels []int) (neuron, synapse float64) {
+	var ev *escapeEval
 	for i, f := range faults {
 		if detected[i] || !critical[i] {
 			continue
 		}
-		drop := AccuracyDrop(golden, f, samples, labels)
+		if ev == nil {
+			ev = newEscapeEval(golden, samples, labels)
+		}
+		drop := ev.drop(f)
 		if f.Kind.IsNeuron() {
 			if drop > neuron {
 				neuron = drop

@@ -2,6 +2,7 @@ package snn
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -57,7 +58,8 @@ func TestRunFromZeroAlloc(t *testing.T) {
 // TestReplayAndDivergenceZeroAlloc asserts the campaign hot paths —
 // golden-replay RunFrom from a mid-network start layer and the
 // early-exit DivergesFrom detector — are also allocation-free, including
-// across a Bind to a faulty clone.
+// across a Bind to a faulty clone and on the first pass after a further
+// fault is applied to it.
 func TestReplayAndDivergenceZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, b := range []string{"nmnist", "ibm-gesture", "shd"} {
@@ -84,5 +86,25 @@ func TestReplayAndDivergenceZeroAlloc(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("%s: DivergesFrom allocated %v times per run; want 0", b, allocs)
 		}
+
+		// A further neuron fault applied after Bind grows the pass's list
+		// of overridden neurons; the very first pass over it must not
+		// allocate (AllocsPerRun would hide it behind its warm-up call).
+		last := faulty.Layers[len(faulty.Layers)-1]
+		last.SetNeuronThreshold(last.NumNeurons()-1, 0.5)
+		if allocs := allocsOnce(func() { sc.DivergesFrom(start, golden, stim) }); allocs != 0 {
+			t.Errorf("%s: first DivergesFrom after a new fault allocated %d times; want 0", b, allocs)
+		}
 	}
+}
+
+// allocsOnce counts the heap allocations of a single call of f, with no
+// warm-up call first.
+func allocsOnce(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -1,20 +1,20 @@
 package snn
 
-import (
-	"github.com/repro/snntest/internal/tensor"
-)
-
 // Fused, event-driven LIF step kernels: one pass per (layer, time step)
 // that computes the synaptic currents and the leak→threshold→reset→
 // refractory update, writing spikes straight into the record row. Spike
-// rows are mostly zeros, so each kernel first lists the non-zero entries
-// of its input row (tensor.NonZeroIndices, ascending) and accumulates
-// only those: dense and recurrent kernels gather the active columns of
-// each weight row, conv and pool kernels scatter each active input into
-// the outputs it reaches. No intermediate tensor is materialized — the
-// per-layer scratch (membrane state, current row, active-index lists,
-// conv/pool tap tables) is preallocated in NewScratch — so a full
-// Run/RunFrom pass performs zero heap allocations.
+// rows are mostly zeros, so each kernel receives the ascending list of
+// its input row's non-zero entries and accumulates only those: dense and
+// recurrent kernels gather the active columns of each weight row, conv
+// and pool kernels scatter each active input into the outputs it
+// reaches. The lists are never rescanned from the rows: each layer's LIF
+// sweep writes the list of the neurons it fired, which feeds the next
+// layer (and a recurrent layer's own next step), and a replay's start
+// layer reads the golden record's list of its input (Record.replayList).
+// No intermediate tensor is materialized — the per-layer scratch
+// (membrane state, spike list, current row, conv/pool tap tables) is
+// preallocated in NewScratch — so a full Run/RunFrom pass performs zero
+// heap allocations.
 //
 // Every kernel reproduces the reference path (Projection.Forward +
 // stepLayer) bit for bit, given finite weights:
@@ -32,9 +32,14 @@ import (
 //     each input reaches each output through at most one tap. Pooling
 //     multiplies by its weight after the sum, as PoolProj.Forward does.
 //
-// The LIF sweep is the very same stepLayer the reference path runs, so
-// the two paths cannot drift. The equivalence suite and fuzz targets in
-// this package pin the contract.
+// The LIF update is the very same code on both paths: the fused
+// sparseStepLayer runs the reference path's healthy sweep, and its
+// lifUpdate on the neurons with fault overrides, so the two paths cannot
+// drift. Each spike list is exactly tensor.NonZeroIndices of the 0/1
+// row it indexes — the sweep visits neurons in ascending order and lists
+// exactly those with spike 1 — so the kernels see the same active
+// entries as if they had scanned. The equivalence suite and fuzz targets
+// in this package pin the contract.
 
 // fusedKind selects a layer's kernel without interface dispatch in the
 // hot loop.
@@ -60,10 +65,10 @@ type layerKernel struct {
 	// measurably slower than the reference MatVec on small layers).
 	cur []float64
 
-	// act and actR hold the active (non-zero) input indices of the
-	// current step: act for the layer's input row, actR for a recurrent
-	// layer's previous spikes. Each is sized to its row's full length.
-	act, actR []int32
+	// special lists, ascending, the neurons whose fault overrides are not
+	// the unset sentinel, re-listed at every pass entry by bind; its
+	// capacity is the neuron count.
+	special []int32
 
 	// Weight data views, re-captured from the bound network at every pass
 	// entry: Scratch.Bind may re-point the scratch at a clone whose weight
@@ -143,7 +148,7 @@ func (r *rasterCursor) seek(j, h, w int) int {
 func newLayerKernel(l *Layer) *layerKernel {
 	k := &layerKernel{nn: l.NumNeurons()}
 	k.cur = make([]float64, k.nn)
-	k.act = make([]int32, flatLen(l.Proj.InShape()))
+	k.special = make([]int32, 0, k.nn)
 	switch p := l.Proj.(type) {
 	case *DenseProj:
 		k.kind = fusedDense
@@ -151,7 +156,6 @@ func newLayerKernel(l *Layer) *layerKernel {
 	case *RecurrentProj:
 		k.kind = fusedRecurrent
 		k.fan = p.W.Dim(1)
-		k.actR = make([]int32, k.nn)
 	case *ConvProj:
 		k.kind = fusedConv
 		in := p.InShape()
@@ -179,10 +183,23 @@ func newLayerKernel(l *Layer) *layerKernel {
 	return k
 }
 
-// bind re-captures the layer's weight storage for one pass.
+// bind re-captures the layer's weight storage and lists its overridden
+// neurons for one pass.
 //
 //snn:hotpath
 func (k *layerKernel) bind(l *Layer) {
+	k.special = k.special[:0]
+	if l.HasFaultOverrides() {
+		sp := k.special[:k.nn]
+		n := 0
+		for i := range sp {
+			if l.overridden(i) {
+				sp[n] = int32(i)
+				n++
+			}
+		}
+		k.special = sp[:n]
+	}
 	switch p := l.Proj.(type) {
 	case *DenseProj:
 		k.w = p.W.Data()
@@ -197,18 +214,18 @@ func (k *layerKernel) bind(l *Layer) {
 }
 
 // step advances the layer by one time step: the synaptic currents of the
-// active inputs are accumulated into the preallocated k.cur scratch row
-// by call-free loops, then the shared stepLayer sweep applies the LIF
-// update and writes the spikes to out. The recurrent kernel lists and
-// reads st.lastSpike while computing currents, and stepLayer only
-// mutates it after every current is already in k.cur — the same ordering
-// the reference path gets by materializing the current tensor before its
-// stepLayer call.
+// active inputs act (the ascending non-zero indices of in) are
+// accumulated into the preallocated k.cur scratch row by call-free
+// loops, then sparseStepLayer applies the LIF update, writes the spikes
+// to out and lists them in st. The recurrent kernel reads st.lastSpike
+// and its list of the previous step's spikes while computing currents,
+// and sparseStepLayer only overwrites them after every current is
+// already in k.cur — the same ordering the reference path gets by
+// materializing the current tensor before its stepLayer call.
 //
 //snn:hotpath
-func (k *layerKernel) step(l *Layer, st *fastLayerState, in, out []float64) {
+func (k *layerKernel) step(l *Layer, st *fastLayerState, in []float64, act []int32, out []float64) {
 	cur := k.cur
-	act := tensor.NonZeroIndices(k.act, in)
 	switch k.kind {
 	case fusedDense:
 		for i := 0; i < k.nn; i++ {
@@ -222,7 +239,7 @@ func (k *layerKernel) step(l *Layer, st *fastLayerState, in, out []float64) {
 		}
 	case fusedRecurrent:
 		last := st.lastSpike
-		actR := tensor.NonZeroIndices(k.actR, last)
+		actR := st.spikes()
 		for i := 0; i < k.nn; i++ {
 			o := i * k.fan
 			wrow := k.w[o : o+len(in)]
@@ -251,7 +268,7 @@ func (k *layerKernel) step(l *Layer, st *fastLayerState, in, out []float64) {
 			cur[i] *= k.weight
 		}
 	}
-	stepLayer(l, st, cur, out)
+	sparseStepLayer(l, st, cur, out, k.special)
 }
 
 // convScatter accumulates the convolution currents of the active inputs

@@ -258,17 +258,21 @@ func FuzzFusedLIF(f *testing.F) {
 	})
 }
 
-// TestStepLayerHealthyMatchesOverrides pins stepLayer's two loops against
-// each other: a healthy layer (no override slices, specialized hoisted
-// loop) must produce bit-identical spike trains to the same layer carrying
-// explicitly-allocated override slices whose every entry is the documented
-// "unset" sentinel (all-normal modes, zero thresholds/leaks, -1 refracs),
-// which forces the per-neuron lifUpdate loop with identical effective
-// parameters. Both engines run both variants.
+// TestStepLayerHealthyMatchesOverrides pins the healthy sweep against
+// lifUpdate. A healthy layer (no override slices, hoisted sweep) must
+// produce bit-identical spike trains to the same layer carrying
+// explicitly-allocated override slices whose every entry is the
+// documented "unset" sentinel (all-normal modes, zero thresholds/leaks,
+// -1 refracs): the reference engine runs lifUpdate on every neuron of
+// such a layer, while the fused engine lists no overridden neuron and
+// sweeps them all. Both engines run both variants. A second variant adds
+// one real override per layer, which the fused engine confines to
+// lifUpdate between two swept gaps; it must match the reference engine's
+// all-neuron lifUpdate loop bit for bit.
 func TestStepLayerHealthyMatchesOverrides(t *testing.T) {
-	for name, net := range equivFixtures(t, 41) {
-		overridden := net.Clone()
-		for _, l := range overridden.Layers {
+	sentinels := func(net *Network) *Network {
+		c := net.Clone()
+		for _, l := range c.Layers {
 			nn := l.NumNeurons()
 			l.Modes = make([]NeuronMode, nn)
 			l.Thresholds = make([]float64, nn)
@@ -278,9 +282,13 @@ func TestStepLayerHealthyMatchesOverrides(t *testing.T) {
 				l.Refracs[i] = -1
 			}
 			if !l.HasFaultOverrides() {
-				t.Fatalf("%s %s: override slices not detected", name, l.Name)
+				t.Fatalf("%s: override slices not detected", l.Name)
 			}
 		}
+		return c
+	}
+	for name, net := range equivFixtures(t, 41) {
+		overridden := sentinels(net)
 		stim := stimFor(net, 43, 20, 0.4)
 		for _, reference := range []bool{false, true} {
 			healthy, forced := net.NewScratch(), overridden.NewScratch()
@@ -298,6 +306,16 @@ func TestStepLayerHealthyMatchesOverrides(t *testing.T) {
 				}
 			}
 		}
+
+		one := sentinels(net)
+		for _, l := range one.Layers {
+			l.Thresholds[l.NumNeurons()/2] = 0.3
+		}
+		fused, ref, frec, rrec := runBoth(0, nil, one, stim)
+		if n := len(fused.kernels[0].special); n != 1 {
+			t.Fatalf("%s: fused engine lists %d overridden neurons, want 1", name, n)
+		}
+		requireBitIdentical(t, one, fused, ref, frec, rrec, name+"/one-override")
 	}
 }
 

@@ -89,6 +89,19 @@ func (l *Layer) refractory(i int) int {
 	return l.LIF.Refractory
 }
 
+// overridden reports whether neuron i carries an override that is not
+// the unset sentinel: exactly when one of the accessors mode, threshold,
+// leak and refractory returns an override entry instead of the
+// layer-wide default.
+//
+//snn:hotpath
+func (l *Layer) overridden(i int) bool {
+	return l.mode(i) != NeuronNormal ||
+		(l.Thresholds != nil && l.Thresholds[i] != 0) || //lint:ignore floateq 0 is the documented unset sentinel for per-neuron thresholds
+		(l.Leaks != nil && l.Leaks[i] != 0) || //lint:ignore floateq 0 is the documented unset sentinel for per-neuron leaks
+		(l.Refracs != nil && l.Refracs[i] >= 0)
+}
+
 // SetNeuronMode marks neuron i with a behavioural fault mode, allocating
 // the override slice on first use.
 func (l *Layer) SetNeuronMode(i int, m NeuronMode) {

@@ -161,7 +161,12 @@ type fastLayerState struct {
 	u         []float64 // membrane potentials
 	lastSpike []float64 // previous step's output spikes
 	refrac    []int     // remaining refractory steps
-	outShape  []int
+	// spk[:nspk] lists, ascending, the neurons that fired at the last
+	// step: the LIF sweep writes it as it goes, and it is the next
+	// layer's (and, recurrent, the layer's own) active input list.
+	spk      []int32
+	nspk     int
+	outShape []int
 	// lastSpikeT persistently wraps lastSpike for recurrent projections,
 	// so the hot loop does not re-wrap the slice every step.
 	lastSpikeT *tensor.Tensor
@@ -177,11 +182,17 @@ func (st *fastLayerState) reset() {
 		st.lastSpike[i] = 0
 		st.refrac[i] = 0
 	}
+	st.nspk = 0
 }
 
+// spikes returns the active list of the last step's output spikes.
+//
+//snn:hotpath
+func (st *fastLayerState) spikes() []int32 { return st.spk[:st.nspk] }
+
 // Scratch holds reusable simulation state — per-layer membrane/refractory
-// buffers, fused kernels with their active-index lists and tap tables,
-// and spike-record storage — so repeated Run/RunFrom calls (a fault-simulation campaign
+// buffers and spike lists, fused kernels with their tap tables, and
+// spike-record storage — so repeated Run/RunFrom calls (a fault-simulation campaign
 // simulates one run per fault) allocate nothing per run. A Scratch belongs
 // to one goroutine; the record returned by its RunFrom is overwritten by
 // the next call.
@@ -198,6 +209,10 @@ type Scratch struct {
 	rec *Record
 	// frame is the flattened length of one stimulus frame.
 	frame int
+	// act receives the start layer's active input list when no golden
+	// list covers it (see Record.replayList); it is sized to the widest
+	// input row.
+	act []int32
 	// reference selects the allocating reference path (Projection.Forward
 	// + stepLayer) over the fused kernels; see SetReference.
 	reference bool
@@ -213,12 +228,15 @@ type Scratch struct {
 func (n *Network) NewScratch() *Scratch {
 	states := make([]*fastLayerState, len(n.Layers))
 	kernels := make([]*layerKernel, len(n.Layers))
+	widest := n.InputLen()
 	for i, l := range n.Layers {
 		nn := l.NumNeurons()
+		widest = max(widest, nn)
 		st := &fastLayerState{
 			u:         make([]float64, nn),
 			lastSpike: make([]float64, nn),
 			refrac:    make([]int, nn),
+			spk:       make([]int32, nn),
 			outShape:  l.Proj.OutShape(),
 		}
 		if _, ok := l.Proj.(*RecurrentProj); ok {
@@ -235,6 +253,7 @@ func (n *Network) NewScratch() *Scratch {
 		kernels: kernels,
 		rec:     &Record{Layers: make([]*tensor.Tensor, len(n.Layers))},
 		frame:   n.InputLen(),
+		act:     make([]int32, widest),
 	}
 }
 
@@ -415,7 +434,11 @@ func (s *Scratch) observe(rec *Record, start, simSteps, layerSteps int, elapsed 
 
 // fusedStep advances every simulated layer by one time step on the fused
 // zero-allocation path: raw stimulus/golden/record rows flow between the
-// layer kernels as plain slices, with no tensor headers materialized.
+// layer kernels as plain slices, with no tensor headers materialized,
+// each paired with its ascending active list. The start layer's list is
+// the golden record's (Record.replayList), or a scan of its input row
+// when the record holds none; every later layer's is the list the
+// previous layer's LIF sweep just wrote.
 //
 //snn:hotpath
 func (s *Scratch) fusedStep(start, t int, stimulus *tensor.Tensor, golden *Record, rec *Record) {
@@ -427,11 +450,15 @@ func (s *Scratch) fusedStep(start, t int, stimulus *tensor.Tensor, golden *Recor
 		w := n.Layers[start-1].NumNeurons()
 		in = golden.Layers[start-1].RawRange(t*w, w)
 	}
+	act, ok := golden.replayList(start, t, stimulus)
+	if !ok {
+		act = tensor.NonZeroIndices(s.act, in)
+	}
 	for li := start; li < len(n.Layers); li++ {
-		k := s.kernels[li]
+		k, st := s.kernels[li], s.states[li]
 		out := rec.Layers[li].RawRange(t*k.nn, k.nn)
-		k.step(n.Layers[li], s.states[li], in, out)
-		in = out
+		k.step(n.Layers[li], st, in, act, out)
+		in, act = out, st.spikes()
 	}
 }
 
@@ -499,62 +526,118 @@ func lifUpdate(l *Layer, st *fastLayerState, i int, c float64) float64 {
 	return 0
 }
 
-// stepLayer advances one layer by one time step: cd is the synaptic
-// current, out receives the output spikes, st carries the LIF state.
-// Both engines run their LIF sweep through this function — the reference
-// path from referenceStep, the fused kernels from layerKernel.step — so
-// the membrane dynamics cannot drift between them.
-//
-// A layer with no fault overrides takes a specialized loop with the
-// layer-wide LIF parameters hoisted out: it evaluates the exact
-// expression lifUpdate evaluates with the exact values the per-neuron
-// accessors would return, just without re-checking the override slices
-// for every neuron. TestStepLayerHealthyMatchesOverrides pins the two
-// loops against each other bit for bit.
+// stepLayer advances one layer by one time step on the reference path:
+// cd is the synaptic current, out receives the output spikes, st carries
+// the LIF state. A layer with fault overrides runs lifUpdate on every
+// neuron, the oracle form; a layer without takes the hoisted healthy
+// sweep. The fused kernels run sparseStepLayer instead, which confines
+// lifUpdate to the overridden neurons; both write st's spike list.
 //
 //snn:hotpath
 func stepLayer(l *Layer, st *fastLayerState, cd, out []float64) {
-	if l.HasFaultOverrides() {
-		for i := range cd {
-			s := lifUpdate(l, st, i, cd[i])
-			out[i] = s
-			st.lastSpike[i] = s
-		}
+	st.nspk = 0
+	if !l.HasFaultOverrides() {
+		st.sweep(l.LIF, cd, out, 0, len(cd))
 		return
 	}
-	leak, th := l.LIF.Leak, l.LIF.Threshold
-	refr := l.LIF.Refractory
-	u := st.u[:len(cd)]
-	last := st.lastSpike[:len(cd)]
-	refrac := st.refrac[:len(cd)]
-	out = out[:len(cd)]
+	for i := range cd {
+		st.lifStep(l, i, cd[i], out)
+	}
+}
+
+// sparseStepLayer is the fused kernels' LIF step: special lists, in
+// ascending order, the neurons whose fault overrides are not the unset
+// sentinel (layerKernel.bind). lifUpdate runs on those alone and the
+// hoisted healthy sweep on the gaps between them. This is exact because
+// LIF neurons are independent given their currents, and a neuron without
+// an override has exactly the layer-wide parameters the sweep hoists.
+// The spike list comes out ascending, as the sweep and the special
+// neurons interleave in index order.
+//
+//snn:hotpath
+func sparseStepLayer(l *Layer, st *fastLayerState, cd, out []float64, special []int32) {
+	st.nspk = 0
+	lo := 0
+	for _, i := range special {
+		st.sweep(l.LIF, cd, out, lo, int(i))
+		st.lifStep(l, int(i), cd[i], out)
+		lo = int(i) + 1
+	}
+	st.sweep(l.LIF, cd, out, lo, len(cd))
+}
+
+// lifStep runs lifUpdate on neuron i and records its spike.
+//
+//snn:hotpath
+func (st *fastLayerState) lifStep(l *Layer, i int, c float64, out []float64) {
+	s := lifUpdate(l, st, i, c)
+	out[i] = s
+	st.lastSpike[i] = s
+	st.spk[st.nspk] = int32(i)
+	st.nspk += int(s)
+}
+
+// sweep is the healthy LIF loop over neurons [lo, hi) with the layer-wide
+// parameters p hoisted out. It evaluates the exact expression lifUpdate
+// evaluates with the exact values the per-neuron accessors return for a
+// neuron without overrides, in branch-light form:
+//
+//   - The refractory gate multiplies by 0 only while refractory:
+//     gate·x is x·1 = x otherwise, and x·0 has the bits of 0·x.
+//   - The spike value and the new refractory count are selected from
+//     the comparison results, not branched on.
+//   - Every neuron's index is stored into the spike list and the count
+//     advanced by its spike, so the list is built without a branch.
+//
+// TestStepLayerHealthyMatchesOverrides pins the sweep against lifUpdate
+// bit for bit.
+//
+//snn:hotpath
+func (st *fastLayerState) sweep(p LIFParams, cd, out []float64, lo, hi int) {
+	leak, th, refr := p.Leak, p.Threshold, p.Refractory
+	cd = cd[lo:hi]
+	u := st.u[lo:hi]
+	last := st.lastSpike[lo:hi]
+	refrac := st.refrac[lo:hi]
+	out = out[lo:hi]
+	spk, n := st.spk, st.nspk
 	for i, c := range cd {
-		gate := 1.0
-		if refrac[i] > 0 {
-			gate = 0
+		r := refrac[i]
+		v := leak*u[i]*(1-last[i]) + c
+		if r > 0 {
+			v *= 0
 		}
-		v := gate * (leak*u[i]*(1-last[i]) + c)
-		fired := v > th
+		f := 0
+		if v > th {
+			f = 1
+		}
+		nr := r
+		if f != 0 {
+			nr = refr
+		}
+		if r > 0 {
+			nr = r - 1
+		}
 		u[i] = v
-		if refrac[i] > 0 {
-			refrac[i]--
-		} else if fired {
-			refrac[i] = refr
-		}
-		s := 0.0
-		if fired {
-			s = 1
-		}
+		refrac[i] = nr
+		s := float64(f)
 		out[i] = s
 		last[i] = s
+		spk[n] = int32(lo + i)
+		n += f
 	}
+	st.nspk = n
 }
 
 // Run simulates the network on the stimulus (shape [T, InShape...]) from a
 // fresh state and records every neuron's output spike train. This is the
 // fast, non-differentiable path used for inference and fault simulation.
+//
+// The record carries golden active lists of every layer and of input, so
+// it can serve as the golden trace of replays on input (see Record).
 func (n *Network) Run(input *tensor.Tensor) *Record {
 	rec, _, _ := n.NewScratch().runFrom(0, nil, input, false)
+	rec.attachLists(input)
 	return rec
 }
 
@@ -600,6 +683,6 @@ func (s *Scratch) DivergesFrom(start int, golden *Record, stimulus *tensor.Tenso
 // class: the output neuron with the highest spike count (ties break to the
 // lowest index).
 func (n *Network) Predict(input *tensor.Tensor) int {
-	rec := n.Run(input)
-	return tensor.ArgMax(rec.Counts(len(n.Layers) - 1))
+	rec, _, _ := n.NewScratch().runFrom(0, nil, input, false)
+	return rec.OutputArgMax()
 }

@@ -27,16 +27,22 @@ go test -run GradCheck ./internal/autograd/
 # survive repeated runs bit-identically.
 go test -run Equiv -count=2 ./...
 # Kernel gate: the fused forward kernels are event-driven — each
-# accumulates only the non-zero entries of its input row — and must stay
-# allocation-free across a whole Run/RunFrom pass (the AllocsPerRun tests
-# fail on any regression), and the stale-scratch geometry guard plus the
-# healthy-layer fast loop must keep rejecting/bit-matching as documented.
+# accumulates only the active entries of its input row, listed by the
+# previous layer's LIF sweep or read from the golden record — and must
+# stay allocation-free across a whole Run/RunFrom pass, the first pass
+# after a new fault included (the zero-alloc tests fail on any
+# regression), and the stale-scratch geometry guard plus the healthy
+# sweep and sparse override sweep must keep rejecting/bit-matching as
+# documented.
 # The fused-vs-reference equivalence suite itself already runs under the
 # Equiv gate above.
 go test -run 'ZeroAlloc|TestScratch|TestStepLayer' ./internal/snn/
 # Fuzz smoke: ten seconds of coverage-guided fuzzing per target beyond
 # its seeds: the fused forward kernels (dense/recurrent, and conv/pool
-# over random geometry and non-binary stimuli), the generation graph
+# over random geometry and non-binary stimuli), golden-list replay
+# against the reference path (fixture, start layer, fault, non-binary
+# stimulus), the telemetry server's /runs/{id} routes, which must answer
+# only 200, 404 or 405 for fuzzed ids and methods, the generation graph
 # against its RunGraph oracle (fixture, builder seed, duration, τ, noise
 # seed), the pprof decoder, which must reject arbitrary bytes with an
 # error and never panic, and the ledger journal reader plus the curve
@@ -45,6 +51,8 @@ go test -run 'ZeroAlloc|TestScratch|TestStepLayer' ./internal/snn/
 # ten seconds, so its smoke skips minimization.
 go test -run '^$' -fuzz '^FuzzFusedLIF$' -fuzztime 10s ./internal/snn/
 go test -run '^$' -fuzz '^FuzzFusedConvPool$' -fuzztime 10s ./internal/snn/
+go test -run '^$' -fuzz '^FuzzReplayActiveLists$' -fuzztime 10s ./internal/snn/
+go test -run '^$' -fuzz '^FuzzRunPaths$' -fuzztime 10s ./internal/obs/telemetry/
 go test -run '^$' -fuzz '^FuzzRunGraphFused$' -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/profparse/
 go test -run '^$' -fuzz '^FuzzReadRun$' -fuzztime 10s -fuzzminimizetime 1x ./internal/obs/ledger/
