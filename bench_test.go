@@ -14,6 +14,7 @@
 package snntest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -124,7 +125,7 @@ func benchmarkTable2(b *testing.B, name string) {
 	b.ReportMetric(float64(len(faults)), "faults")
 	b.ReportMetric(float64(crit), "critical")
 	printArtifact("table2-"+name, func() {
-		experiments.RenderTable2(os.Stdout, []experiments.Table2Row{must(experiments.Table2(p))})
+		experiments.RenderTable2(os.Stdout, []experiments.Table2Row{must(experiments.Table2(context.Background(), p))})
 	})
 }
 
@@ -137,7 +138,7 @@ func BenchmarkTable2_SHD(b *testing.B)        { benchmarkTable2(b, "shd") }
 
 func benchmarkTable3(b *testing.B, name string) {
 	p := pipelines(b)[name]
-	p.Critical() // label faults outside the timed region
+	p.Critical(context.Background()) // label faults outside the timed region
 	var gen *core.Result
 	var fc fault.Coverage
 	b.ResetTimer()
@@ -146,14 +147,14 @@ func benchmarkTable3(b *testing.B, name string) {
 		cfg.Seed = int64(i + 1)
 		gen = must(core.Generate(p.Net, cfg))
 		sim := must(fault.Simulate(p.Net, p.Faults(), gen.Stimulus, 0, nil))
-		fc = must(fault.Compute(p.Faults(), sim.Detected, must(p.Critical())))
+		fc = must(fault.Compute(p.Faults(), sim.Detected, must(p.Critical(context.Background()))))
 	}
 	b.StopTimer()
 	b.ReportMetric(100*fc.CriticalFC(), "critFC%")
 	b.ReportMetric(100*gen.ActivatedFraction, "activated%")
 	b.ReportMetric(gen.DurationSamples(p.SampleStepsUsed()), "dur-samples")
 	printArtifact("table3-"+name, func() {
-		experiments.RenderTable3(os.Stdout, []experiments.Table3Row{must(experiments.Table3(p))})
+		experiments.RenderTable3(os.Stdout, []experiments.Table3Row{must(experiments.Table3(context.Background(), p))})
 	})
 }
 
@@ -166,12 +167,12 @@ func BenchmarkTable3_SHD(b *testing.B)        { benchmarkTable3(b, "shd") }
 
 func BenchmarkTable4_Comparison(b *testing.B) {
 	p := pipelines(b)["nmnist"]
-	p.Critical()
-	p.Generate()
+	p.Critical(context.Background())
+	p.Generate(context.Background())
 	var rows []experiments.Table4Row
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = must(experiments.Table4(p))
+		rows = must(experiments.Table4(context.Background(), p))
 	}
 	b.StopTimer()
 	for _, r := range rows {
@@ -192,22 +193,22 @@ func BenchmarkTable4_Comparison(b *testing.B) {
 
 func BenchmarkFig7_Snapshots(b *testing.B) {
 	p := pipelines(b)["nmnist"]
-	p.Generate()
+	p.Generate(context.Background())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.Fig7(nopWriter{}, p, 4)
+		experiments.Fig7(context.Background(), nopWriter{}, p, 4)
 	}
-	printArtifact("fig7", func() { experiments.Fig7(os.Stdout, p, 3) })
+	printArtifact("fig7", func() { experiments.Fig7(context.Background(), os.Stdout, p, 3) })
 }
 
 func BenchmarkFig8_Activation(b *testing.B) {
 	// The paper illustrates Fig. 8 on the IBM SNN; same here.
 	p := pipelines(b)["ibm-gesture"]
-	p.Generate()
+	p.Generate(context.Background())
 	var d experiments.Fig8Data
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d = must(experiments.Fig8(p))
+		d = must(experiments.Fig8(context.Background(), p))
 	}
 	b.StopTimer()
 	b.ReportMetric(100*d.Optimized.Overall, "optimized%")
@@ -217,11 +218,11 @@ func BenchmarkFig8_Activation(b *testing.B) {
 
 func BenchmarkFig9_SpikeDiffs(b *testing.B) {
 	p := pipelines(b)["ibm-gesture"]
-	p.Generate()
+	p.Generate(context.Background())
 	var d experiments.Fig9Data
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d = must(experiments.Fig9(p))
+		d = must(experiments.Fig9(context.Background(), p))
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(d.DetectedFaults), "detected")
@@ -233,12 +234,12 @@ func BenchmarkFig9_SpikeDiffs(b *testing.B) {
 
 func benchmarkAblation(b *testing.B, name string, mutate func(*core.Config)) {
 	p := pipelines(b)["shd"]
-	p.Critical()
-	p.Generate()
+	p.Critical(context.Background())
+	p.Generate(context.Background())
 	var r experiments.AblationResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r = must(experiments.Ablate(p, name, mutate))
+		r = must(experiments.Ablate(context.Background(), p, name, mutate))
 	}
 	b.StopTimer()
 	b.ReportMetric(r.FullFC, "fullFC%")
@@ -427,7 +428,7 @@ func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }
 // and reports how much test length it recovers without losing coverage.
 func BenchmarkCompaction(b *testing.B) {
 	p := pipelines(b)["shd"]
-	gen := must(p.Generate())
+	gen := must(p.Generate(context.Background()))
 	faults := p.Faults()
 	var stats core.CompactionStats
 	b.ResetTimer()
@@ -451,7 +452,7 @@ func BenchmarkCompaction(b *testing.B) {
 // Section III extension faults (parametric timing variation, bit-flips).
 func BenchmarkExtendedFaultModel(b *testing.B) {
 	p := pipelines(b)["shd"]
-	gen := must(p.Generate())
+	gen := must(p.Generate(context.Background()))
 	extended := fault.SampleUniverse(p.Net, fault.ExtendedOptions(), 5)
 	var detected int
 	b.ResetTimer()

@@ -27,9 +27,15 @@
 // -obs enables the observability counters for the run and writes a run
 // manifest (git revision, configuration, counter totals), so report
 // numbers stay attributable to the exact run that produced them.
+//
+// The pipelines start from experiments.ScaledOptions; -epochs overrides
+// the scale's training epochs only when set. SIGINT/SIGTERM cancel
+// generation gracefully — the remaining artifacts render from the partial
+// stimulus and the trace is flushed.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -94,7 +100,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}()
 
-	scale, err := parseScale(*scaleFlag)
+	sctx, cancel := obs.SignalContext(context.Background())
+	defer cancel()
+	ctx, root := obs.Start(sctx, "benchreport")
+	defer root.End()
+
+	scale, err := snn.ParseScale(*scaleFlag)
 	if err != nil {
 		return err
 	}
@@ -152,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *all || *table == 2 {
 		rows := make([]experiments.Table2Row, len(pipes))
 		for i, p := range pipes {
-			rows[i], err = experiments.Table2(p)
+			rows[i], err = experiments.Table2(ctx, p)
 			if err != nil {
 				return err
 			}
@@ -164,7 +175,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *all || *table == 3 {
 		rows := make([]experiments.Table3Row, len(pipes))
 		for i, p := range pipes {
-			rows[i], err = experiments.Table3(p)
+			rows[i], err = experiments.Table3(ctx, p)
 			if err != nil {
 				return err
 			}
@@ -174,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	if *all || *table == 4 {
-		rows, err := experiments.Table4(pickPipe(pipes, "nmnist"))
+		rows, err := experiments.Table4(ctx, pickPipe(pipes, "nmnist"))
 		if err != nil {
 			return err
 		}
@@ -183,13 +194,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	if *all || *fig == 7 {
-		if err := experiments.Fig7(out, pickPipe(pipes, "ibm-gesture"), 4); err != nil {
+		if err := experiments.Fig7(ctx, out, pickPipe(pipes, "ibm-gesture"), 4); err != nil {
 			return err
 		}
 	}
 	if *all || *fig == 8 {
 		p := pickPipe(pipes, "ibm-gesture")
-		d, err := experiments.Fig8(p)
+		d, err := experiments.Fig8(ctx, p)
 		if err != nil {
 			return err
 		}
@@ -199,7 +210,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	if *all || *fig == 9 {
 		p := pickPipe(pipes, "ibm-gesture")
-		d, err := experiments.Fig9(p)
+		d, err := experiments.Fig9(ctx, p)
 		if err != nil {
 			return err
 		}
@@ -208,7 +219,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	if *all || *ablations {
-		if err := runAblations(out, pickPipe(pipes, "shd")); err != nil {
+		if err := runAblations(ctx, out, pickPipe(pipes, "shd")); err != nil {
 			return err
 		}
 	}
@@ -240,7 +251,7 @@ func pickPipe(pipes []*experiments.Pipeline, prefer string) *experiments.Pipelin
 }
 
 // runAblations executes the DESIGN.md §5 ablation suite.
-func runAblations(w io.Writer, p *experiments.Pipeline) error {
+func runAblations(ctx context.Context, w io.Writer, p *experiments.Pipeline) error {
 	variants := []struct {
 		name   string
 		mutate func(*core.Config)
@@ -252,24 +263,11 @@ func runAblations(w io.Writer, p *experiments.Pipeline) error {
 	}
 	rows := make([]experiments.AblationResult, 0, len(variants))
 	for _, v := range variants {
-		row, err := experiments.Ablate(p, v.name, v.mutate)
+		row, err := experiments.Ablate(ctx, p, v.name, v.mutate)
 		if err != nil {
 			return err
 		}
 		rows = append(rows, row)
 	}
 	return experiments.RenderAblations(w, rows)
-}
-
-func parseScale(s string) (snn.ModelScale, error) {
-	switch s {
-	case "tiny":
-		return snn.ScaleTiny, nil
-	case "small":
-		return snn.ScaleSmall, nil
-	case "full":
-		return snn.ScaleFull, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q (want tiny, small or full)", s)
-	}
 }

@@ -1,20 +1,24 @@
 // Command faultsim runs a standalone fault-simulation campaign on one
-// benchmark model: it enumerates the fault universe, labels each fault
-// critical or benign against the test split (the Table II campaign), and
-// reports the per-class counts and wall-clock cost.
+// benchmark model: it builds the model through the same experiment
+// pipeline as benchreport, enumerates the fault universe, labels each
+// fault critical or benign against the test split (the Table II
+// campaign), and reports the per-class counts and wall-clock cost.
 //
 // Usage:
 //
 //	faultsim -bench shd [-scale tiny|small|full] [-stride N]
-//	         [-weights file.gob] [-extended] [-workers N] [-seed N] [-full]
+//	         [-weights file.gob] [-extended] [-workers N] [-epochs N] [-seed N]
 //	         [-v|-quiet] [-trace out.jsonl] [-serve :9090]
 //	         [-ledger dir] [-stall-timeout D]
 //	         [-profile-dir dir]
 //
-// By default the campaign is incremental: each faulty simulation replays
-// the golden spike trace up to the fault's layer and re-simulates only
-// the layers above it. -full forces the reference full re-simulation of
-// every fault (same results, more simulated layer-steps).
+// -stride and -epochs default to 0, meaning the scale's value from
+// experiments.ScaledOptions; -weights loads weights saved by
+// `snntrain -out` instead of training. Without -extended the counts are
+// `benchreport -table 2`'s. The campaign is incremental: each faulty
+// simulation replays the golden spike trace up to the fault's layer and
+// re-simulates only the layers above it; the report prints the simulated
+// layer-steps against a full re-simulation's.
 package main
 
 import (
@@ -22,17 +26,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"sync"
 	"time"
 
-	"github.com/repro/snntest/internal/dataset"
+	"github.com/repro/snntest/internal/experiments"
 	"github.com/repro/snntest/internal/fault"
 	"github.com/repro/snntest/internal/obs"
 	_ "github.com/repro/snntest/internal/obs/telemetry" // -serve support
 	"github.com/repro/snntest/internal/snn"
-	"github.com/repro/snntest/internal/train"
 )
 
 func main() {
@@ -50,13 +52,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	var (
 		bench     = fs.String("bench", "shd", "benchmark: nmnist, ibm-gesture or shd")
 		scaleFlag = fs.String("scale", "tiny", "model scale: tiny, small or full")
-		stride    = fs.Int("stride", 1, "fault universe subsampling stride (1 = exhaustive)")
+		stride    = fs.Int("stride", 0, "fault universe subsampling stride (0 = scale default, 1 = exhaustive)")
 		weights   = fs.String("weights", "", "load trained weights instead of training in-process")
 		extended  = fs.Bool("extended", false, "include timing-variation and bit-flip faults")
 		workers   = fs.Int("workers", 0, "campaign workers (0 = GOMAXPROCS)")
-		epochs    = fs.Int("epochs", 4, "in-process training epochs when -weights is absent")
+		epochs    = fs.Int("epochs", 0, "in-process training epochs when -weights is absent (0 = scale default)")
 		seed      = fs.Int64("seed", 1, "random seed")
-		full      = fs.Bool("full", false, "disable incremental golden-trace replay (full re-simulation per fault)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -75,53 +76,40 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	ctx, root := obs.Start(sctx, "faultsim")
 	defer root.End()
 
-	scale, err := parseScale(*scaleFlag)
+	scale, err := snn.ParseScale(*scaleFlag)
 	if err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(*seed))
-	net, err := snn.Build(*bench, rng, scale)
-	if err != nil {
-		return err
+	opts := experiments.ScaledOptions(scale, *seed)
+	opts.Weights = *weights
+	opts.Workers = *workers
+	opts.Log = log.Writer(obs.LevelDebug)
+	if *epochs > 0 {
+		opts.TrainEpochs = *epochs
 	}
-
-	sampleSteps, err := snn.SampleSteps(*bench, scale)
-	if err != nil {
-		return err
+	if *stride > 0 {
+		opts.FaultStride = *stride
 	}
-	ds, err := dataset.ForBenchmark(net, dataset.Config{
-		TrainPerClass: 4, TestPerClass: 2,
-		Steps: sampleSteps, Seed: *seed + 1,
-	})
+	log.Infof("building the %s model…", *bench)
+	p, err := experiments.NewPipeline(*bench, opts)
 	if err != nil {
 		return err
 	}
 	if *weights != "" {
-		if err := net.LoadWeightsFile(*weights); err != nil {
-			return err
-		}
 		fmt.Fprintf(stdout, "loaded weights from %s\n", *weights)
-	} else {
-		trainIn, trainLab := ds.Inputs("train")
-		log.Infof("training model…")
-		if _, err := train.Train(net, trainIn, trainLab, train.Config{
-			Epochs: *epochs, LR: 0.03, Seed: *seed + 2,
-		}); err != nil {
-			return err
-		}
 	}
+	net := p.Net
 
-	opts := fault.DefaultOptions()
+	fopts := fault.DefaultOptions()
 	if *extended {
-		opts = fault.ExtendedOptions()
+		fopts = fault.ExtendedOptions()
 	}
-	faults := fault.SampleUniverse(net, opts, *stride)
+	faults := fault.SampleUniverse(net, fopts, opts.FaultStride)
 	fmt.Fprintf(stdout, "%s (%s): %d neurons, %d synapses; universe %d faults (stride %d → %d simulated)\n",
-		net.Name, *scaleFlag, net.NumNeurons(), net.NumSynapses(),
-		fault.UniverseSize(net, opts), *stride, len(faults))
+		net.Name, scale, net.NumNeurons(), net.NumSynapses(),
+		fault.UniverseSize(net, fopts), opts.FaultStride, len(faults))
 
-	testIn, _ := ds.Inputs("test")
-	start := time.Now()
+	testIn, _ := p.Data.Inputs("test")
 	var progress func(done int)
 	if log.Enabled(obs.LevelInfo) {
 		var progressMu sync.Mutex
@@ -132,10 +120,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	res, err := fault.ClassifyWith(net, faults, testIn, fault.CampaignOptions{
-		Workers:   *workers,
-		FullResim: *full,
-		Progress:  progress,
-		Context:   ctx,
+		Workers:  *workers,
+		Progress: progress,
+		Context:  ctx,
 	})
 	if progress != nil {
 		fmt.Fprintln(stderr)
@@ -143,43 +130,18 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
-	critical := res.Critical
-
-	var cn, bn, cs, bs int
-	for i, f := range faults {
-		switch {
-		case f.Kind.IsNeuron() && critical[i]:
-			cn++
-		case f.Kind.IsNeuron():
-			bn++
-		case critical[i]:
-			cs++
-		default:
-			bs++
-		}
+	cov, err := fault.Compute(faults, make([]bool, len(faults)), res.Critical)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(stdout, "\nFault simulation results (%d samples, %d steps each):\n", len(testIn), ds.SampleSteps)
-	fmt.Fprintf(stdout, "  critical neuron faults:  %d\n", cn)
-	fmt.Fprintf(stdout, "  benign neuron faults:    %d\n", bn)
-	fmt.Fprintf(stdout, "  critical synapse faults: %d\n", cs)
-	fmt.Fprintf(stdout, "  benign synapse faults:   %d\n", bs)
+	fmt.Fprintf(stdout, "\nFault simulation results (%d samples, %d steps each):\n", len(testIn), p.SampleStepsUsed())
+	fmt.Fprintf(stdout, "  critical neuron faults:  %d\n", cov.CriticalNeuron.Total)
+	fmt.Fprintf(stdout, "  benign neuron faults:    %d\n", cov.BenignNeuron.Total)
+	fmt.Fprintf(stdout, "  critical synapse faults: %d\n", cov.CriticalSynapse.Total)
+	fmt.Fprintf(stdout, "  benign synapse faults:   %d\n", cov.BenignSynapse.Total)
 	fmt.Fprintf(stdout, "  campaign time:           %v (%.2f ms/fault)\n",
-		elapsed.Round(time.Millisecond), float64(elapsed.Milliseconds())/float64(len(faults)))
+		res.Elapsed.Round(time.Millisecond), float64(res.Elapsed.Milliseconds())/float64(len(faults)))
 	fmt.Fprintf(stdout, "  simulated layer-steps:   %d of %d full (%.2fx saved)\n",
 		res.LayerSteps, res.FullLayerSteps, float64(res.FullLayerSteps)/float64(res.LayerSteps))
 	return nil
-}
-
-func parseScale(s string) (snn.ModelScale, error) {
-	switch s {
-	case "tiny":
-		return snn.ScaleTiny, nil
-	case "small":
-		return snn.ScaleSmall, nil
-	case "full":
-		return snn.ScaleFull, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q (want tiny, small or full)", s)
-	}
 }

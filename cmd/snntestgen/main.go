@@ -1,8 +1,10 @@
 // Command snntestgen is the end-to-end tool of the reproduction: it
-// builds and trains a benchmark SNN (or loads trained weights), runs the
-// paper's test-generation algorithm, and verifies the resulting stimulus
-// with a single fault-simulation campaign, printing the Table III
-// efficiency metrics.
+// builds and trains a benchmark SNN (or loads trained weights) through
+// the same experiment pipeline as benchreport, runs the paper's
+// test-generation algorithm, verifies the resulting stimulus with a
+// single fault-simulation campaign, and prints the benchmark's Table III
+// row — the same row `benchreport -table 3` prints at the same scale,
+// seed and budgets.
 //
 // Usage:
 //
@@ -13,6 +15,11 @@
 //	           [-v|-quiet] [-trace out.jsonl] [-serve :9090]
 //	           [-ledger dir] [-stall-timeout D]
 //	           [-profile-dir dir]
+//
+// Every budget flag (-epochs, -steps1, -max-iter, -restarts, -stride)
+// defaults to 0, meaning the scale's value from
+// experiments.ScaledOptions; a flag overrides that value only when set.
+// -weights loads weights saved by `snntrain -out` instead of training.
 //
 // -restarts K sets the generation engine's restart count: every
 // iteration optimizes K independently seeded candidate chunks on a worker
@@ -37,19 +44,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
-	"time"
 
-	"github.com/repro/snntest/internal/core"
-	"github.com/repro/snntest/internal/dataset"
-	"github.com/repro/snntest/internal/fault"
+	"github.com/repro/snntest/internal/experiments"
 	"github.com/repro/snntest/internal/metrics"
 	"github.com/repro/snntest/internal/obs"
 	_ "github.com/repro/snntest/internal/obs/telemetry" // -serve support
 	"github.com/repro/snntest/internal/snn"
 	"github.com/repro/snntest/internal/tensor"
-	"github.com/repro/snntest/internal/train"
 )
 
 func main() {
@@ -69,12 +71,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		scaleFlag = fs.String("scale", "tiny", "model scale: tiny, small or full")
 		seed      = fs.Int64("seed", 1, "random seed")
 		weights   = fs.String("weights", "", "load trained weights instead of training in-process")
-		epochs    = fs.Int("epochs", 4, "in-process training epochs when -weights is absent")
+		epochs    = fs.Int("epochs", 0, "in-process training epochs when -weights is absent (0 = scale default)")
 		steps1    = fs.Int("steps1", 0, "stage-1 optimization steps (0 = scale default)")
 		maxIter   = fs.Int("max-iter", 0, "maximum generated chunks (0 = scale default)")
-		restarts  = fs.Int("restarts", 1, "independently seeded optimizer restarts per chunk; the best one wins")
+		restarts  = fs.Int("restarts", 0, "independently seeded optimizer restarts per chunk; the best one wins (0 = scale default)")
 		tinMin    = fs.Int("tinmin", 0, "pin the chunk duration T_in,min and skip calibration (0 = calibrate)")
-		stride    = fs.Int("stride", 1, "fault universe stride for verification")
+		stride    = fs.Int("stride", 0, "fault universe stride for verification (0 = scale default)")
 		workers   = fs.Int("workers", 0, "campaign and restart workers (0 = GOMAXPROCS)")
 		save      = fs.String("save-stimulus", "", "write the stimulus tensor to this file (gob)")
 	)
@@ -95,105 +97,65 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	ctx, root := obs.Start(sctx, "snntestgen")
 	defer root.End()
 
-	scale, err := parseScale(*scaleFlag)
+	scale, err := snn.ParseScale(*scaleFlag)
 	if err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(*seed))
-	net, err := snn.Build(*bench, rng, scale)
-	if err != nil {
-		return err
+	opts := experiments.ScaledOptions(scale, *seed)
+	opts.Weights = *weights
+	opts.Workers = *workers
+	opts.Log = log.Writer(obs.LevelDebug)
+	if *epochs > 0 {
+		opts.TrainEpochs = *epochs
 	}
-
-	sampleSteps, err := snn.SampleSteps(*bench, scale)
-	if err != nil {
-		return err
+	if *stride > 0 {
+		opts.FaultStride = *stride
 	}
-	ds, err := dataset.ForBenchmark(net, dataset.Config{
-		TrainPerClass: 4, TestPerClass: 2, Steps: sampleSteps, Seed: *seed + 1,
-	})
-	if err != nil {
-		return err
-	}
-	if *weights != "" {
-		if err := net.LoadWeightsFile(*weights); err != nil {
-			return err
-		}
-	} else {
-		trainIn, trainLab := ds.Inputs("train")
-		log.Infof("training model…")
-		if _, err := train.Train(net, trainIn, trainLab, train.Config{
-			Epochs: *epochs, LR: 0.03, Seed: *seed + 2,
-		}); err != nil {
-			return err
-		}
-	}
-
-	cfg := core.DefaultConfig()
-	if scale != snn.ScaleFull {
-		cfg = core.TestConfig()
-		cfg.Steps1 = 100
-	}
-	cfg.Seed = *seed + 3
-	cfg.Log = log.Writer(obs.LevelDebug)
 	if *steps1 > 0 {
-		cfg.Steps1 = *steps1
+		opts.GenConfig.Steps1 = *steps1
 	}
 	if *maxIter > 0 {
-		cfg.MaxIterations = *maxIter
+		opts.GenConfig.MaxIterations = *maxIter
 	}
 	if *tinMin > 0 {
-		cfg.TInMin = *tinMin
+		opts.GenConfig.TInMin = *tinMin
 	}
-	cfg.Parallel = core.Parallel{Restarts: *restarts, Workers: *workers}
+	if *restarts > 0 {
+		opts.GenConfig.Parallel.Restarts = *restarts
+	}
 
-	log.Infof("generating test stimulus…")
-	res, err := core.GenerateContext(ctx, net, cfg)
+	log.Infof("building the %s model…", *bench)
+	p, err := experiments.NewPipeline(*bench, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "test generation runtime: %v\n", res.Runtime.Round(time.Millisecond))
-	fmt.Fprintf(stdout, "T_in,min: %d steps; chunks: %d\n", res.TInMin, len(res.Chunks))
-	fmt.Fprintf(stdout, "test duration: %d steps = %.2f samples = %.3f s\n",
-		res.TotalSteps(), res.DurationSamples(sampleSteps),
-		metrics.DurationSeconds(net, res.TotalSteps()))
-	fmt.Fprintf(stdout, "activated neurons: %.2f%%\n", 100*res.ActivatedFraction)
+	log.Infof("generating test stimulus…")
+	res, err := p.Generate(ctx)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "T_in,min: %d steps; chunks: %d; test duration: %d steps\n",
+		res.TInMin, len(res.Chunks), res.TotalSteps())
 	summary := metrics.SummarizeGeneration(res.Trace)
 	fmt.Fprintf(stdout, "generation: %d iterations, %d growths, %.1f new neurons/iteration\n",
 		summary.Iterations, summary.TotalGrowths, summary.MeanNewActivated)
-	if *restarts > 1 {
+	if k := opts.GenConfig.Parallel.Restarts; k > 1 {
 		fmt.Fprintf(stdout, "restarts evaluated: %d; wins by restart index:", summary.RestartsRun)
-		for r := 0; r < *restarts; r++ {
+		for r := 0; r < k; r++ {
 			fmt.Fprintf(stdout, " %d:%d", r, summary.WinnersByRestart[r])
 		}
 		fmt.Fprintln(stdout)
 	}
 
-	faults := fault.SampleUniverse(net, fault.DefaultOptions(), *stride)
-	log.Infof("verifying against %d faults…", len(faults))
-	testIn, _ := ds.Inputs("test")
-	cls, err := fault.ClassifyWith(net, faults, testIn, fault.CampaignOptions{
-		Workers: *workers, Context: ctx,
-	})
+	log.Infof("verifying against %d faults…", len(p.Faults()))
+	row, err := experiments.Table3(ctx, p)
 	if err != nil {
 		return err
 	}
-	critical := cls.Critical
-	sim, err := fault.SimulateWith(net, faults, res.Stimulus, fault.CampaignOptions{
-		Workers: *workers, Context: ctx,
-	})
-	if err != nil {
+	fmt.Fprintln(stdout)
+	if err := experiments.RenderTable3(stdout, []experiments.Table3Row{row}); err != nil {
 		return err
 	}
-	cov, err := fault.Compute(faults, sim.Detected, critical)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "verification campaign: %v for %d faults\n", sim.Elapsed.Round(time.Millisecond), len(faults))
-	fmt.Fprintf(stdout, "FC critical neuron faults:  %.2f%%\n", 100*cov.CriticalNeuron.FC())
-	fmt.Fprintf(stdout, "FC critical synapse faults: %.2f%%\n", 100*cov.CriticalSynapse.FC())
-	fmt.Fprintf(stdout, "FC benign neuron faults:    %.2f%%\n", 100*cov.BenignNeuron.FC())
-	fmt.Fprintf(stdout, "FC benign synapse faults:   %.2f%%\n", 100*cov.BenignSynapse.FC())
 
 	if *save != "" {
 		if err := saveStimulus(*save, res.Stimulus); err != nil {
@@ -220,17 +182,4 @@ func saveStimulus(path string, t *tensor.Tensor) error {
 		return err
 	}
 	return f.Close()
-}
-
-func parseScale(s string) (snn.ModelScale, error) {
-	switch s {
-	case "tiny":
-		return snn.ScaleTiny, nil
-	case "small":
-		return snn.ScaleSmall, nil
-	case "full":
-		return snn.ScaleFull, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q (want tiny, small or full)", s)
-	}
 }

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
+	"github.com/repro/snntest/internal/experiments"
 	"github.com/repro/snntest/internal/profparse"
+	"github.com/repro/snntest/internal/snn"
 )
 
 // TestRunSmoke drives the full binary pipeline — build, train, generate,
@@ -25,15 +28,70 @@ func TestRunSmoke(t *testing.T) {
 	out := stdout.String()
 	for _, want := range []string{
 		"T_in,min: 6 steps",
-		"activated neurons:",
+		"Activated neurons",
 		"generation:",
 		"restarts evaluated:",
-		"FC critical neuron faults:",
-		"FC benign synapse faults:",
+		"FC critical neuron faults",
+		"FC benign synapse faults",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stdout missing %q; got:\n%s", want, out)
 		}
+	}
+}
+
+// table3Rows returns the rows of a rendered Table III block except the
+// wall-clock runtime row and the rule line, whose width follows the
+// widest cell.
+func table3Rows(t *testing.T, out string) []string {
+	t.Helper()
+	i := strings.Index(out, "Table III:")
+	if i < 0 {
+		t.Fatalf("no Table III in:\n%s", out)
+	}
+	block, _, _ := strings.Cut(out[i:], "\n\n")
+	var rows []string
+	for _, l := range strings.Split(block, "\n") {
+		if !strings.HasPrefix(l, "Test generation runtime") && !strings.HasPrefix(l, "---") {
+			rows = append(rows, l)
+		}
+	}
+	return rows
+}
+
+// TestRunMatchesTable3 pins the command to the experiment pipeline: a
+// cheap-budget run prints, runtime aside, exactly the Table III row that
+// experiments.Table3 computes on the Options its flags describe.
+func TestRunMatchesTable3(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{
+		"-bench", "nmnist", "-scale", "tiny", "-epochs", "1",
+		"-steps1", "8", "-max-iter", "1", "-tinmin", "6", "-stride", "50", "-quiet",
+	}
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
+	}
+
+	opts := experiments.ScaledOptions(snn.ScaleTiny, 1)
+	opts.TrainEpochs = 1
+	opts.GenConfig.Steps1 = 8
+	opts.GenConfig.MaxIterations = 1
+	opts.GenConfig.TInMin = 6
+	opts.FaultStride = 50
+	p, err := experiments.NewPipeline("nmnist", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := experiments.Table3(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := experiments.RenderTable3(&want, []experiments.Table3Row{row}); err != nil {
+		t.Fatal(err)
+	}
+	if got, exp := table3Rows(t, stdout.String()), table3Rows(t, want.String()); strings.Join(got, "\n") != strings.Join(exp, "\n") {
+		t.Errorf("snntestgen Table III:\n%s\nexperiments.Table3:\n%s", strings.Join(got, "\n"), strings.Join(exp, "\n"))
 	}
 }
 

@@ -13,8 +13,7 @@ func TestRunSmoke(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "w.gob")
 	var stdout, stderr bytes.Buffer
 	args := []string{
-		"-bench", "nmnist", "-scale", "tiny", "-epochs", "1",
-		"-per-class", "2", "-out", out,
+		"-bench", "nmnist", "-scale", "tiny", "-epochs", "1", "-out", out,
 	}
 	if err := run(args, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -35,7 +36,7 @@ func main() {
 	fmt.Printf("%s: trained to %.1f%% accuracy; fault universe %d\n\n",
 		p.Benchmark, 100*p.Accuracy, len(p.Faults()))
 
-	rows, err := experiments.Table4(p)
+	rows, err := experiments.Table4(context.Background(), p)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

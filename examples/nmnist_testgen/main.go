@@ -4,10 +4,11 @@
 // fault coverage against the classified fault universe, and render a
 // stimulus snapshot (Fig. 7) plus the activation comparison (Fig. 8).
 //
-//	go run ./examples/nmnist_testgen [-scale tiny|small]
+//	go run ./examples/nmnist_testgen [-scale tiny|small|full]
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -17,25 +18,25 @@ import (
 )
 
 func main() {
-	scaleFlag := flag.String("scale", "tiny", "model scale: tiny or small")
+	scaleFlag := flag.String("scale", "tiny", "model scale: tiny, small or full")
 	flag.Parse()
-	scale := snn.ScaleTiny
-	if *scaleFlag == "small" {
-		scale = snn.ScaleSmall
+	scale, err := snn.ParseScale(*scaleFlag)
+	if err != nil {
+		fatal(err)
 	}
+	ctx := context.Background()
 
 	opts := experiments.ScaledOptions(scale, 1)
 	opts.Log = os.Stderr
 	p, err := experiments.NewPipeline("nmnist", opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Printf("trained NMNIST model: %.1f%% test accuracy (%d neurons, %d synapses)\n\n",
 		100*p.Accuracy, p.Net.NumNeurons(), p.Net.NumSynapses())
 
 	// Table III metrics for this single benchmark.
-	row, err := experiments.Table3(p)
+	row, err := experiments.Table3(ctx, p)
 	if err != nil {
 		fatal(err)
 	}
@@ -44,12 +45,12 @@ func main() {
 	}
 
 	// Fig. 7: what the optimized stimulus looks like.
-	if err := experiments.Fig7(os.Stdout, p, 3); err != nil {
+	if err := experiments.Fig7(ctx, os.Stdout, p, 3); err != nil {
 		fatal(err)
 	}
 
 	// Fig. 8: optimized test vs. a dataset sample.
-	d, err := experiments.Fig8(p)
+	d, err := experiments.Fig8(ctx, p)
 	if err != nil {
 		fatal(err)
 	}

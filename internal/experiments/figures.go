@@ -1,19 +1,19 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"github.com/repro/snntest/internal/core"
-	"github.com/repro/snntest/internal/fault"
 	"github.com/repro/snntest/internal/metrics"
 	"github.com/repro/snntest/internal/report"
 )
 
 // Fig7 renders snapshots of the optimized test stimulus at evenly spaced
 // time stamps (the paper's Fig. 7: blue/red polarity dots become '+'/'-').
-func Fig7(w io.Writer, p *Pipeline, snapshots int) error {
-	gen, err := p.Generate()
+func Fig7(ctx context.Context, w io.Writer, p *Pipeline, snapshots int) error {
+	gen, err := p.Generate(ctx)
 	if err != nil {
 		return err
 	}
@@ -46,8 +46,8 @@ type Fig8Data struct {
 }
 
 // Fig8 computes both activation maps.
-func Fig8(p *Pipeline) (Fig8Data, error) {
-	gen, err := p.Generate()
+func Fig8(ctx context.Context, p *Pipeline) (Fig8Data, error) {
+	gen, err := p.Generate(ctx)
 	if err != nil {
 		return Fig8Data{}, err
 	}
@@ -92,8 +92,8 @@ type Fig9Data struct {
 
 // Fig9 simulates the fault universe against the optimized stimulus and
 // collects the per-class output corruption distributions.
-func Fig9(p *Pipeline) (Fig9Data, error) {
-	gen, err := p.Generate()
+func Fig9(ctx context.Context, p *Pipeline) (Fig9Data, error) {
+	gen, err := p.Generate(ctx)
 	if err != nil {
 		return Fig9Data{}, err
 	}
@@ -150,25 +150,25 @@ type AblationResult struct {
 
 // Ablate runs the generator with a mutated config and reports coverage
 // against the pipeline's fault universe.
-func Ablate(p *Pipeline, name string, mutate func(*core.Config)) (AblationResult, error) {
+func Ablate(ctx context.Context, p *Pipeline, name string, mutate func(*core.Config)) (AblationResult, error) {
 	faults := p.Faults()
 
-	full, err := p.Generate()
+	full, err := p.Generate(ctx)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	fullSim, err := fault.Simulate(p.Net, faults, full.Stimulus, p.Opts.Workers, nil)
+	fullSim, err := p.simulate(ctx, full.Stimulus, nil)
 	if err != nil {
 		return AblationResult{}, err
 	}
 
 	cfg := p.Opts.GenConfig
 	mutate(&cfg)
-	variant, err := core.Generate(p.Net, cfg)
+	variant, err := core.GenerateContext(ctx, p.Net, cfg)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	varSim, err := fault.Simulate(p.Net, faults, variant.Stimulus, p.Opts.Workers, nil)
+	varSim, err := p.simulate(ctx, variant.Stimulus, nil)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -194,11 +194,4 @@ func RenderAblations(w io.Writer, rows []AblationResult) error {
 		}
 	}
 	return report.Table(w, "Ablation study (overall FC)", []string{"Variant", "Full", "Ablated", "Δ"}, table)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

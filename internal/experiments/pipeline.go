@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -25,7 +26,9 @@ var Benchmarks = []string{"nmnist", "ibm-gesture", "shd"}
 
 // Options sizes a pipeline run. The defaults in ScaledOptions keep the
 // three benchmarks runnable on a single CPU core; the paper's full scale
-// is reachable by raising Scale and the budgets.
+// is reachable by raising Scale and the budgets. ScaledOptions is the one
+// place that sets per-scale budgets: every command starts from it and
+// overrides only the fields its flags set.
 type Options struct {
 	Scale         snn.ModelScale
 	Seed          int64
@@ -33,9 +36,11 @@ type Options struct {
 	TestPerClass  int
 	SampleSteps   int // duration of one dataset sample; 0 = benchmark default
 	TrainEpochs   int
-	// TrainLR is the Adam learning rate; 0 auto-scales with the sample
-	// duration (longer BPTT windows need smaller steps).
-	TrainLR float64
+	// Weights, when set, names a file written by snn.Network.SaveWeights
+	// (snntrain -out). NewPipeline loads it in place of training; the
+	// dataset is still built, so Accuracy is measured on the loaded
+	// weights.
+	Weights string
 	// FaultStride subsamples the fault universe (1 = exhaustive); large
 	// models use a stride so campaigns finish in reasonable time, exactly
 	// like statistical fault sampling in industrial flows.
@@ -98,7 +103,8 @@ type Pipeline struct {
 	gen          *core.Result
 }
 
-// NewPipeline builds, trains and evaluates one benchmark model.
+// NewPipeline builds, trains (or loads Options.Weights into) and
+// evaluates one benchmark model.
 func NewPipeline(benchmark string, opts Options) (*Pipeline, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	net, err := snn.Build(benchmark, rng, opts.Scale)
@@ -121,35 +127,28 @@ func NewPipeline(benchmark string, opts Options) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	trainIn, trainLab := ds.Inputs("train")
-	lr := opts.TrainLR
-	if lr == 0 { //lint:ignore floateq 0 is the documented unset sentinel for TrainLR
+	p := &Pipeline{Benchmark: benchmark, Opts: opts, Net: net, Data: ds}
+	if opts.Weights != "" {
+		if err := net.LoadWeightsFile(opts.Weights); err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
+		}
+	} else {
 		// Longer BPTT windows accumulate larger gradients; scale the step
 		// size down with the sample duration.
-		lr = 0.6 / float64(steps)
-		if lr > 0.03 {
-			lr = 0.03
-		} else if lr < 0.005 {
-			lr = 0.005
+		lr := min(max(0.6/float64(steps), 0.005), 0.03)
+		trainIn, trainLab := ds.Inputs("train")
+		start := time.Now()
+		p.History, err = train.Train(net, trainIn, trainLab, train.Config{
+			Epochs: opts.TrainEpochs, LR: lr, Seed: opts.Seed + 2, Log: opts.Log,
+		})
+		if err != nil {
+			return nil, err
 		}
-	}
-	start := time.Now()
-	hist, err := train.Train(net, trainIn, trainLab, train.Config{
-		Epochs: opts.TrainEpochs, LR: lr, Seed: opts.Seed + 2, Log: opts.Log,
-	})
-	if err != nil {
-		return nil, err
+		p.TrainTime = time.Since(start)
 	}
 	testIn, testLab := ds.Inputs("test")
-	return &Pipeline{
-		Benchmark: benchmark,
-		Opts:      opts,
-		Net:       net,
-		Data:      ds,
-		History:   hist,
-		TrainTime: time.Since(start),
-		Accuracy:  train.Evaluate(net, testIn, testLab),
-	}, nil
+	p.Accuracy = train.Evaluate(net, testIn, testLab)
+	return p, nil
 }
 
 // Faults returns the (possibly strided) fault universe, computing it on
@@ -162,17 +161,20 @@ func (p *Pipeline) Faults() []fault.Fault {
 }
 
 // Critical returns the per-fault criticality labels from the full
-// classification campaign over the test split (the Table II labelling).
-func (p *Pipeline) Critical() ([]bool, error) {
+// classification campaign over the test split (the Table II labelling),
+// computing them on first use. ctx parents the campaign's span; the
+// campaign runs to completion even when ctx is cancelled.
+func (p *Pipeline) Critical(ctx context.Context) ([]bool, error) {
 	if p.critical == nil {
 		testIn, _ := p.Data.Inputs("test")
-		start := time.Now()
-		critical, err := fault.Classify(p.Net, p.Faults(), testIn, p.Opts.Workers, p.progress("classify"))
+		res, err := fault.ClassifyWith(p.Net, p.Faults(), testIn, fault.CampaignOptions{
+			Workers: p.Opts.Workers, Progress: p.progress("classify"), Context: ctx,
+		})
 		if err != nil {
 			return nil, err
 		}
-		p.critical = critical
-		p.ClassifyTime = time.Since(start)
+		p.critical = res.Critical
+		p.ClassifyTime = res.Elapsed
 	}
 	return p.critical, nil
 }
@@ -181,20 +183,30 @@ func (p *Pipeline) Critical() ([]bool, error) {
 // When the multi-restart engine is enabled and its worker bound is unset,
 // the pipeline's campaign worker count applies to generation too (results
 // are worker-count-invariant, so this only affects wall-clock time).
-func (p *Pipeline) Generate() (*core.Result, error) {
+// Cancelling ctx stops generation gracefully: the partial result is
+// returned (and cached), never an error.
+func (p *Pipeline) Generate(ctx context.Context) (*core.Result, error) {
 	if p.gen == nil {
 		cfg := p.Opts.GenConfig
 		cfg.Log = p.Opts.Log
 		if cfg.Parallel.Workers == 0 {
 			cfg.Parallel.Workers = p.Opts.Workers
 		}
-		gen, err := core.Generate(p.Net, cfg)
+		gen, err := core.GenerateContext(ctx, p.Net, cfg)
 		if err != nil {
 			return nil, err
 		}
 		p.gen = gen
 	}
 	return p.gen, nil
+}
+
+// simulate runs one verification campaign of the stimulus against the
+// pipeline's fault universe; ctx parents the campaign's span.
+func (p *Pipeline) simulate(ctx context.Context, stimulus *tensor.Tensor, progress func(int)) (*fault.SimResult, error) {
+	return fault.SimulateWith(p.Net, p.Faults(), stimulus, fault.CampaignOptions{
+		Workers: p.Opts.Workers, Progress: progress, Context: ctx,
+	})
 }
 
 // SampleStepsUsed returns the dataset sample duration in steps.

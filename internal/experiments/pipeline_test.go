@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"context"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,6 +43,7 @@ func TestNewPipelineUnknownBenchmark(t *testing.T) {
 }
 
 func TestPipelineEndToEndSHD(t *testing.T) {
+	ctx := context.Background()
 	p := shdPipeline(t)
 	if p.Accuracy < 0.10 {
 		t.Errorf("trained accuracy %.2f below sanity floor (chance = 0.05)", p.Accuracy)
@@ -54,7 +59,7 @@ func TestPipelineEndToEndSHD(t *testing.T) {
 	}
 
 	// Table II: partition must cover the strided universe.
-	t2 := must(Table2(p))
+	t2 := must(Table2(ctx, p))
 	got := t2.CriticalNeuron + t2.BenignNeuron + t2.CriticalSynapse + t2.BenignSynapse
 	if got != len(p.Faults()) {
 		t.Errorf("Table2 partition %d faults, universe %d", got, len(p.Faults()))
@@ -64,7 +69,7 @@ func TestPipelineEndToEndSHD(t *testing.T) {
 	}
 
 	// Table III: percentages must be sane and activation should be high.
-	t3 := must(Table3(p))
+	t3 := must(Table3(ctx, p))
 	for name, v := range map[string]float64{
 		"activated": t3.ActivatedPct, "fc-cn": t3.FCCritNeuron, "fc-cs": t3.FCCritSynapse,
 		"fc-bn": t3.FCBenNeuron, "fc-bs": t3.FCBenSynapse,
@@ -84,12 +89,12 @@ func TestPipelineEndToEndSHD(t *testing.T) {
 	}
 
 	// Figures.
-	d8 := must(Fig8(p))
+	d8 := must(Fig8(ctx, p))
 	if d8.Optimized.Overall < d8.Sample.Overall-0.05 {
 		t.Errorf("optimized activation %.2f clearly below sample activation %.2f (paper's Fig. 8 shape)",
 			d8.Optimized.Overall, d8.Sample.Overall)
 	}
-	d9 := must(Fig9(p))
+	d9 := must(Fig9(ctx, p))
 	if len(d9.Diffs.Diffs) != 20 {
 		t.Errorf("Fig9 classes = %d", len(d9.Diffs.Diffs))
 	}
@@ -104,7 +109,7 @@ func TestPipelineEndToEndSHD(t *testing.T) {
 	RenderTable3(&b, []Table3Row{t3})
 	RenderFig8(&b, p, d8)
 	RenderFig9(&b, p, d9, 5)
-	Fig7(&b, p, 3)
+	Fig7(ctx, &b, p, 3)
 	out := b.String()
 	for _, want := range []string{"Table I", "Table II", "Table III", "Fig. 7", "Fig. 8", "Fig. 9", "shd"} {
 		if !strings.Contains(out, want) {
@@ -117,7 +122,7 @@ func TestTable4ComparisonShape(t *testing.T) {
 	// Run Table IV on the cheapest benchmark (the paper uses NMNIST; the
 	// method set is identical and SHD is far cheaper at tiny scale).
 	p := shdPipeline(t)
-	rows := must(Table4(p))
+	rows := must(Table4(context.Background(), p))
 	if len(rows) != 4 {
 		t.Fatalf("Table4 rows = %d, want 4 methods", len(rows))
 	}
@@ -144,7 +149,7 @@ func TestTable4ComparisonShape(t *testing.T) {
 
 func TestAblationRuns(t *testing.T) {
 	p := shdPipeline(t)
-	r := must(Ablate(p, "no-stage2", func(c *core.Config) { c.DisableStage2 = true }))
+	r := must(Ablate(context.Background(), p, "no-stage2", func(c *core.Config) { c.DisableStage2 = true }))
 	if r.FullFC < 0 || r.FullFC > 100 || r.VariantFC < 0 || r.VariantFC > 100 {
 		t.Errorf("ablation FCs out of range: %+v", r)
 	}
@@ -167,5 +172,76 @@ func TestScaledOptionsPresets(t *testing.T) {
 	}
 	if full.GenConfig.Steps1 != 2000 {
 		t.Errorf("full scale must use the paper's 2000 steps, got %d", full.GenConfig.Steps1)
+	}
+}
+
+// TestPipelineWeightsFile pins Options.Weights: a pipeline that loads
+// another pipeline's saved weights instead of training must hold the
+// same weights, measure the same accuracy and label the same faults.
+func TestPipelineWeightsFile(t *testing.T) {
+	ctx := context.Background()
+	trained := shdPipeline(t)
+	path := filepath.Join(t.TempDir(), "shd.gob")
+	if err := trained.Net.SaveWeightsFile(path); err != nil {
+		t.Fatal(err)
+	}
+	opts := tinyOpts()
+	opts.Weights = path
+	loaded := must(NewPipeline("shd", opts))
+
+	var want, got bytes.Buffer
+	if err := trained.Net.SaveWeights(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Net.SaveWeights(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Error("loaded pipeline's weights differ from the saved ones")
+	}
+	if loaded.Accuracy != trained.Accuracy {
+		t.Errorf("accuracy on loaded weights %.4f, trained %.4f", loaded.Accuracy, trained.Accuracy)
+	}
+	if loaded.TrainTime != 0 || len(loaded.History.Loss) != 0 {
+		t.Errorf("loaded pipeline trained anyway: %v, %d epochs", loaded.TrainTime, len(loaded.History.Loss))
+	}
+	a, b := must(Table2(ctx, trained)), must(Table2(ctx, loaded))
+	a.SimTime, b.SimTime = 0, 0
+	if a != b {
+		t.Errorf("Table II on loaded weights %+v, trained %+v", b, a)
+	}
+
+	opts.Weights = filepath.Join(t.TempDir(), "missing.gob")
+	if _, err := NewPipeline("shd", opts); err == nil {
+		t.Error("a missing weights file must error")
+	}
+}
+
+// TestPipelineGenerateCancelled pins graceful cancellation through the
+// pipeline: a pre-cancelled context yields a well-formed partial result
+// (no chunks, one all-zero input frame), not an error, and Table III
+// still verifies that partial stimulus.
+func TestPipelineGenerateCancelled(t *testing.T) {
+	p := shdPipeline(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	gen, err := p.Generate(ctx)
+	if err != nil {
+		t.Fatalf("cancelled Generate returned an error: %v", err)
+	}
+	if len(gen.Chunks) != 0 {
+		t.Errorf("cancelled Generate produced %d chunks", len(gen.Chunks))
+	}
+	if want := append([]int{1}, p.Net.InShape...); !slices.Equal(gen.Stimulus.Shape(), want) {
+		t.Fatalf("partial stimulus shape %v, want %v", gen.Stimulus.Shape(), want)
+	}
+	if slices.ContainsFunc(gen.Stimulus.Data(), func(v float64) bool { return v != 0 }) {
+		t.Error("partial stimulus of a run with no chunks must be all zero")
+	}
+	if again := must(p.Generate(context.Background())); again != gen {
+		t.Error("Generate must cache its result, partial ones included")
+	}
+	if row := must(Table3(ctx, p)); row.FCCritNeuron < 0 || row.FCCritNeuron > 100 {
+		t.Errorf("Table III on the partial stimulus: critical neuron FC %.2f%%", row.FCCritNeuron)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -83,29 +84,27 @@ type Table2Row struct {
 }
 
 // Table2 runs the criticality-labelling campaign of one pipeline.
-func Table2(p *Pipeline) (Table2Row, error) {
-	critical, err := p.Critical()
+func Table2(ctx context.Context, p *Pipeline) (Table2Row, error) {
+	critical, err := p.Critical(ctx)
 	if err != nil {
 		return Table2Row{}, err
 	}
-	row := Table2Row{
-		Benchmark:    p.Benchmark,
-		UniverseSize: fault.UniverseSize(p.Net, fault.DefaultOptions()),
-		SimTime:      p.ClassifyTime,
+	// The class sizes are the per-class totals of a coverage tally with
+	// nothing detected.
+	faults := p.Faults()
+	cov, err := fault.Compute(faults, make([]bool, len(faults)), critical)
+	if err != nil {
+		return Table2Row{}, err
 	}
-	for i, f := range p.Faults() {
-		switch {
-		case f.Kind.IsNeuron() && critical[i]:
-			row.CriticalNeuron++
-		case f.Kind.IsNeuron():
-			row.BenignNeuron++
-		case critical[i]:
-			row.CriticalSynapse++
-		default:
-			row.BenignSynapse++
-		}
-	}
-	return row, nil
+	return Table2Row{
+		Benchmark:       p.Benchmark,
+		CriticalNeuron:  cov.CriticalNeuron.Total,
+		BenignNeuron:    cov.BenignNeuron.Total,
+		CriticalSynapse: cov.CriticalSynapse.Total,
+		BenignSynapse:   cov.BenignSynapse.Total,
+		UniverseSize:    fault.UniverseSize(p.Net, fault.DefaultOptions()),
+		SimTime:         p.ClassifyTime,
+	}, nil
 }
 
 // RenderTable2 prints Table II for the given rows.
@@ -152,17 +151,17 @@ type Table3Row struct {
 // Table3 generates the optimized test for one pipeline, verifies it with
 // a single final fault-simulation campaign, and assembles the efficiency
 // metrics.
-func Table3(p *Pipeline) (Table3Row, error) {
-	gen, err := p.Generate()
+func Table3(ctx context.Context, p *Pipeline) (Table3Row, error) {
+	gen, err := p.Generate(ctx)
 	if err != nil {
 		return Table3Row{}, err
 	}
 	faults := p.Faults()
-	critical, err := p.Critical()
+	critical, err := p.Critical(ctx)
 	if err != nil {
 		return Table3Row{}, err
 	}
-	sim, err := fault.Simulate(p.Net, faults, gen.Stimulus, p.Opts.Workers, p.progress("verify"))
+	sim, err := p.simulate(ctx, gen.Stimulus, p.progress("verify"))
 	if err != nil {
 		return Table3Row{}, err
 	}
@@ -234,9 +233,9 @@ type Table4Row struct {
 // Table4 runs every method on the pipeline's model and fault universe.
 // The pipeline should be the NMNIST one, the only benchmark shared by all
 // prior works.
-func Table4(p *Pipeline) ([]Table4Row, error) {
+func Table4(ctx context.Context, p *Pipeline) ([]Table4Row, error) {
 	faults := p.Faults()
-	critical, err := p.Critical()
+	critical, err := p.Critical(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +276,7 @@ func Table4(p *Pipeline) ([]Table4Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	advSim, err := fault.Simulate(p.Net, faults, adv.Stimulus, p.Opts.Workers, nil)
+	advSim, err := p.simulate(ctx, adv.Stimulus, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +290,7 @@ func Table4(p *Pipeline) ([]Table4Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	d18Sim, err := fault.Simulate(p.Net, faults, d18.Stimulus, p.Opts.Workers, nil)
+	d18Sim, err := p.simulate(ctx, d18.Stimulus, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +305,7 @@ func Table4(p *Pipeline) ([]Table4Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	r20Sim, err := fault.Simulate(p.Net, faults, r20.Stimulus, p.Opts.Workers, nil)
+	r20Sim, err := p.simulate(ctx, r20.Stimulus, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -317,11 +316,11 @@ func Table4(p *Pipeline) ([]Table4Row, error) {
 
 	// This work: optimized stimulus, no fault simulation during
 	// generation — one verification campaign at the end.
-	gen, err := p.Generate()
+	gen, err := p.Generate(ctx)
 	if err != nil {
 		return nil, err
 	}
-	genSim, err := fault.Simulate(p.Net, faults, gen.Stimulus, p.Opts.Workers, nil)
+	genSim, err := p.simulate(ctx, gen.Stimulus, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -36,6 +36,17 @@ func (s ModelScale) String() string {
 	}
 }
 
+// ParseScale is the inverse of ModelScale.String: it accepts "tiny",
+// "small" or "full" and rejects anything else.
+func ParseScale(s string) (ModelScale, error) {
+	for _, sc := range []ModelScale{ScaleTiny, ScaleSmall, ScaleFull} {
+		if s == sc.String() {
+			return sc, nil
+		}
+	}
+	return 0, fmt.Errorf("snn: unknown scale %q (want tiny, small or full)", s)
+}
+
 // PoolWeight is the fixed synaptic weight of spiking pooling layers: large
 // enough that a modestly active window drives the pooled LIF neuron past
 // threshold, as in SLAYER's spiking aggregation layers.

@@ -2,6 +2,7 @@ package snn
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/repro/snntest/internal/tensor"
@@ -84,10 +85,20 @@ func TestSampleSteps(t *testing.T) {
 	}
 }
 
+// TestModelScaleString pins each scale's name and its round trip
+// through ParseScale, which rejects every other string.
 func TestModelScaleString(t *testing.T) {
 	for sc, want := range map[ModelScale]string{ScaleTiny: "tiny", ScaleSmall: "small", ScaleFull: "full"} {
 		if sc.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(sc), sc.String(), want)
+		}
+		if got, err := ParseScale(want); err != nil || got != sc {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", want, got, err, sc)
+		}
+	}
+	for _, bad := range []string{"bogus", "", "Tiny", "ModelScale(3)"} {
+		if _, err := ParseScale(bad); err == nil || !strings.Contains(err.Error(), "unknown scale") {
+			t.Errorf("ParseScale(%q) error = %v, want unknown-scale error", bad, err)
 		}
 	}
 }

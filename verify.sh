@@ -85,10 +85,23 @@ go test -run 'TestSigintFlushesTrace' ./examples/quickstart/
 # into bookkeeping spans fails the gate. Emits BENCH_profile.json.
 go build -o /tmp/snntest-gen ./cmd/snntestgen
 rm -rf .profile-smoke
-/tmp/snntest-gen -bench nmnist -scale tiny -profile-dir .profile-smoke -quiet
+mkdir .profile-smoke
+/tmp/snntest-gen -bench nmnist -scale tiny -profile-dir .profile-smoke -quiet >.profile-smoke/snntestgen.txt
 go run ./cmd/benchreport -profile .profile-smoke/snntestgen.cpu.pprof \
     -profile-out BENCH_profile.json -profile-min-labeled 0.95 -profile-kernel-min 0.80
 rm -f /tmp/snntest-gen
+# One-configuration gate: every command builds its pipeline through
+# experiments.NewPipeline from ScaledOptions, so the snntestgen run above
+# and benchreport must print the same NMNIST Table III row at the same
+# scale and seed. Only the wall-clock runtime row (and the rule line,
+# whose width follows the widest cell) may differ.
+table3() { sed -n '/^Table III:/,/^$/p' | grep -v -e '^Test generation runtime' -e '^---'; }
+go run ./cmd/benchreport -scale tiny -seed 1 -bench nmnist -table 3 -quiet >.profile-smoke/benchreport.txt
+table3 <.profile-smoke/snntestgen.txt >.profile-smoke/snntestgen.table3
+table3 <.profile-smoke/benchreport.txt >.profile-smoke/benchreport.table3
+[ -s .profile-smoke/benchreport.table3 ] || { echo "verify.sh: benchreport printed no Table III" >&2; exit 1; }
+diff .profile-smoke/snntestgen.table3 .profile-smoke/benchreport.table3 ||
+    { echo "verify.sh: snntestgen and benchreport disagree on the NMNIST Table III row" >&2; exit 1; }
 # Live-serve + flight-recorder gate, two phases. Phase 1: a quickstart
 # run with -ledger journals its campaigns under .ledger-smoke. Phase 2:
 # a second process with -serve + the same -ledger rehydrates those
