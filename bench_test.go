@@ -113,7 +113,7 @@ func benchmarkTable2(b *testing.B, name string) {
 	var critical []bool
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		critical = must(fault.Classify(p.Net, faults, testIn, 0, nil))
+		critical = must(fault.ClassifyWith(p.Net, faults, testIn, fault.CampaignOptions{})).Critical
 	}
 	b.StopTimer()
 	crit := 0
@@ -145,8 +145,8 @@ func benchmarkTable3(b *testing.B, name string) {
 	for i := 0; i < b.N; i++ {
 		cfg := p.Opts.GenConfig
 		cfg.Seed = int64(i + 1)
-		gen = must(core.Generate(p.Net, cfg))
-		sim := must(fault.Simulate(p.Net, p.Faults(), gen.Stimulus, 0, nil))
+		gen = must(core.GenerateContext(context.Background(), p.Net, cfg))
+		sim := must(fault.SimulateWith(p.Net, p.Faults(), gen.Stimulus, fault.CampaignOptions{}))
 		fc = must(fault.Compute(p.Faults(), sim.Detected, must(p.Critical(context.Background()))))
 	}
 	b.StopTimer()
@@ -415,7 +415,7 @@ func BenchmarkGenerateRestarts(b *testing.B) {
 		cfg.Seed = 17
 		cfg.TInMin = 8
 		cfg.Parallel = core.Parallel{Restarts: 4, Workers: 4}
-		must(core.Generate(nm.Net, cfg))
+		must(core.GenerateContext(context.Background(), nm.Net, cfg))
 	}
 }
 
@@ -425,7 +425,7 @@ type nopWriter struct{}
 func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkCompaction measures the future-work chunk-compaction post-pass
-// and reports how much test length it recovers without losing coverage.
+// and reports how much test length it recovers.
 func BenchmarkCompaction(b *testing.B) {
 	p := pipelines(b)["shd"]
 	gen := must(p.Generate(context.Background()))
@@ -434,7 +434,7 @@ func BenchmarkCompaction(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, stats, err = core.Compact(p.Net, gen, faults, 0)
+		_, stats, err = core.CompactContext(context.Background(), p.Net, gen, faults, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -443,7 +443,7 @@ func BenchmarkCompaction(b *testing.B) {
 	b.ReportMetric(float64(stats.StepsBefore), "steps-before")
 	b.ReportMetric(float64(stats.StepsAfter), "steps-after")
 	printArtifact("compaction", func() {
-		fmt.Printf("Compaction: %d → %d chunks, %d → %d steps, %d faults still detected\n\n",
+		fmt.Printf("Compaction: %d → %d chunks, %d → %d steps, %d faults detected by the kept chunks in isolation\n\n",
 			stats.ChunksBefore, stats.ChunksAfter, stats.StepsBefore, stats.StepsAfter, stats.Detected)
 	})
 }
@@ -457,7 +457,7 @@ func BenchmarkExtendedFaultModel(b *testing.B) {
 	var detected int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		detected = must(fault.Simulate(p.Net, extended, gen.Stimulus, 0, nil)).NumDetected()
+		detected = must(fault.SimulateWith(p.Net, extended, gen.Stimulus, fault.CampaignOptions{})).NumDetected()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(extended)), "faults")

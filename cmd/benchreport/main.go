@@ -6,8 +6,7 @@
 //	benchreport [-scale tiny|small|full] [-seed N] [-workers N] [-epochs N]
 //	            [-table 1|2|3|4] [-fig 7|8|9] [-ablations] [-all]
 //	            [-bench nmnist,ibm-gesture,shd] [-v|-quiet] [-out report.txt]
-//	            [-obs] [-manifest BENCH_manifest.json] [-trace out.jsonl]
-//	            [-serve :9090] [-profile-dir DIR]
+//	            [-trace out.jsonl] [-serve :9090] [-profile-dir DIR]
 //	            [-profile cpu.pprof] [-profile-out BENCH_profile.json]
 //	            [-profile-min-labeled F] [-profile-kernel-min F]
 //
@@ -24,10 +23,6 @@
 // selected benchmark; Table IV and the figures follow the paper's choices
 // (Table IV on NMNIST, Figs. 7–9 on the IBM model).
 //
-// -obs enables the observability counters for the run and writes a run
-// manifest (git revision, configuration, counter totals), so report
-// numbers stay attributable to the exact run that produced them.
-//
 // The pipelines start from experiments.ScaledOptions; -epochs overrides
 // the scale's training epochs only when set. SIGINT/SIGTERM cancel
 // generation gracefully — the remaining artifacts render from the partial
@@ -40,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"github.com/repro/snntest/internal/core"
@@ -73,8 +67,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		all         = fs.Bool("all", false, "render every table, figure and ablation")
 		benchList   = fs.String("bench", strings.Join(experiments.Benchmarks, ","), "comma-separated benchmarks")
 		outPath     = fs.String("out", "", "write the report to this file (default: stdout)")
-		obsMode     = fs.Bool("obs", false, "collect run counters and write a run manifest")
-		manifest    = fs.String("manifest", "BENCH_manifest.json", "manifest path for -obs")
 		profile     = fs.String("profile", "", "analyze a pprof CPU profile: fold samples by phase label, render the per-phase table and write the -profile-out artifact")
 		profOut     = fs.String("profile-out", "BENCH_profile.json", "phase-attribution artifact path for -profile")
 		profLabMin  = fs.Float64("profile-min-labeled", 0, "fail unless at least this fraction of samples carries a phase label (0 = no gate)")
@@ -89,7 +81,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		// per profile.
 		return runProfile(stdout, *profile, *profOut, *profLabMin, *profKernMin, *profMinSamp)
 	}
-	ocli.ForceEnable = ocli.ForceEnable || *obsMode
 	log, stop, err := ocli.Start(stderr)
 	if err != nil {
 		return err
@@ -222,19 +213,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if err := runAblations(ctx, out, pickPipe(pipes, "shd")); err != nil {
 			return err
 		}
-	}
-	if *obsMode {
-		m := obs.NewManifest(map[string]string{
-			"tool":       "benchreport",
-			"scale":      *scaleFlag,
-			"seed":       strconv.FormatInt(*seed, 10),
-			"workers":    strconv.Itoa(*workers),
-			"benchmarks": *benchList,
-		})
-		if err := obs.WriteManifest(*manifest, m); err != nil {
-			return err
-		}
-		log.Infof("run manifest written to %s", *manifest)
 	}
 	return nil
 }

@@ -2,13 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"github.com/repro/snntest/internal/obs"
 )
 
 // TestRunSmoke renders Table I for one benchmark on a one-epoch training
@@ -64,38 +61,5 @@ func TestRunNoBenchmarks(t *testing.T) {
 	err := run([]string{"-bench", ",", "-table", "1"}, &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "no benchmarks selected") {
 		t.Fatalf("want no-benchmarks error, got %v", err)
-	}
-}
-
-// TestRunObsManifest checks -obs: the run manifest lands next to the
-// report with live counters and the run's configuration.
-func TestRunObsManifest(t *testing.T) {
-	manifest := filepath.Join(t.TempDir(), "BENCH_manifest.json")
-	var stdout, stderr bytes.Buffer
-	args := []string{
-		"-scale", "tiny", "-bench", "nmnist", "-epochs", "1", "-table", "1",
-		"-obs", "-manifest", manifest,
-	}
-	if err := run(args, &stdout, &stderr); err != nil {
-		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
-	}
-	data, err := os.ReadFile(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m obs.Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatalf("manifest is not valid JSON: %v\n%s", err, data)
-	}
-	if m.Config["tool"] != "benchreport" || m.Config["scale"] != "tiny" {
-		t.Errorf("manifest config = %v", m.Config)
-	}
-	if m.GitRev == "" || m.GoVersion == "" {
-		t.Errorf("manifest provenance incomplete: %+v", m)
-	}
-	// Table I only trains and evaluates, so the simulator counters are
-	// the ones guaranteed to be live.
-	if m.Counters["snn_forward_passes_total"] <= 0 || m.Counters["snn_layer_steps_total"] <= 0 {
-		t.Errorf("manifest counters dead: %v", m.Counters)
 	}
 }

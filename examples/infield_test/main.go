@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -33,7 +34,7 @@ func main() {
 	// the stimulus here is a few hundred binary frames — kilobytes.
 	cfg := snntest.TestGenConfig()
 	cfg.Seed = 2
-	gen, err := snntest.GenerateTest(net, cfg)
+	gen, err := snntest.GenerateTest(context.Background(), net, cfg)
 	if err != nil {
 		fatal(err)
 	}

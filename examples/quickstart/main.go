@@ -82,18 +82,18 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	cfg := snntest.TestGenConfig()
 	cfg.Seed = 2
 	cfg.Log = log.Writer(obs.LevelDebug)
-	res, err := snntest.GenerateTestContext(ctx, net, cfg)
+	res, err := snntest.GenerateTest(ctx, net, cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "generated test: %d chunks, %d steps total, %.1f%% neurons activated, runtime %v\n",
 		len(res.Chunks), res.TotalSteps(), 100*res.ActivatedFraction, res.Runtime.Round(1e6))
 
-	// 4. Compact the test: drop chunks whose detected faults are covered
-	//    by the remaining chunks (coverage is preserved exactly).
+	// 4. Compact the test: drop chunks whose detected faults, each chunk
+	//    simulated in isolation, are covered by the remaining chunks.
 	faults := snntest.EnumerateFaults(net)
 	log.Debugf("fault universe enumerated: %d faults", len(faults))
-	res, cstats, err := snntest.CompactTestContext(ctx, net, res, faults, 0)
+	res, cstats, err := snntest.CompactTest(ctx, net, res, faults, 0)
 	if err != nil {
 		return err
 	}
@@ -101,8 +101,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		cstats.ChunksBefore, cstats.ChunksAfter, cstats.StepsBefore, cstats.StepsAfter)
 
 	// 5. One final fault-simulation campaign verifies the coverage
-	//    (Eq. 3/4) — the only fault simulation in the whole flow.
-	sim, err := snntest.SimulateFaultsWith(net, faults, res.Stimulus,
+	//    (Eq. 3/4) — the only campaign over the assembled test.
+	sim, err := snntest.SimulateFaults(net, faults, res.Stimulus,
 		snntest.CampaignOptions{Context: ctx})
 	if err != nil {
 		return err

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	ag "github.com/repro/snntest/internal/autograd"
+	"github.com/repro/snntest/internal/core"
 	"github.com/repro/snntest/internal/fault"
 	"github.com/repro/snntest/internal/snn"
 	"github.com/repro/snntest/internal/tensor"
@@ -47,9 +48,8 @@ func DefaultConfig() Config {
 type Result struct {
 	// Selected are the chosen inputs in selection order.
 	Selected []*tensor.Tensor
-	// Stimulus is the concatenated test (samples interleaved with
-	// equal-length zero separators, the same reset convention as the
-	// optimized test).
+	// Stimulus is the selected inputs joined by core.Assemble, with the
+	// optimized test's equal-length zero separators (Eq. 7).
 	Stimulus *tensor.Tensor
 	// CumulativeFC[k] is the fault coverage after the first k+1 inputs.
 	CumulativeFC []float64
@@ -84,7 +84,7 @@ func GreedySelect(net *snn.Network, faults []fault.Fault, candidates []*tensor.T
 	// Detection matrix: which faults each candidate detects.
 	detects := make([][]bool, len(candidates))
 	for ci, cand := range candidates {
-		sim, err := fault.Simulate(net, faults, cand, cfg.Workers, nil)
+		sim, err := fault.SimulateWith(net, faults, cand, fault.CampaignOptions{Workers: cfg.Workers})
 		if err != nil {
 			return nil, err
 		}
@@ -149,35 +149,9 @@ func GreedySelect(net *snn.Network, faults []fault.Fault, candidates []*tensor.T
 		}
 	}
 
-	res.Stimulus = assemble(net, res.Selected)
+	res.Stimulus = core.Assemble(net, res.Selected)
 	res.Runtime = time.Since(start)
 	return res, nil
-}
-
-// assemble concatenates inputs interleaved with equal-length zero
-// separators (same convention as the optimized test's Eq. 7).
-func assemble(net *snn.Network, inputs []*tensor.Tensor) *tensor.Tensor {
-	if len(inputs) == 0 {
-		return net.ZeroInput(1)
-	}
-	frame := net.InputLen()
-	total := 0
-	for i, c := range inputs {
-		total += c.Dim(0)
-		if i < len(inputs)-1 {
-			total += c.Dim(0)
-		}
-	}
-	out := tensor.New(append([]int{total}, net.InShape...)...)
-	off := 0
-	for i, c := range inputs {
-		copy(out.RawRange(off*frame, c.Len()), c.Data())
-		off += c.Dim(0)
-		if i < len(inputs)-1 {
-			off += c.Dim(0)
-		}
-	}
-	return out
 }
 
 // Dataset18 runs the [18]-style compact functional test generation:

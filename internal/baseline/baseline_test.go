@@ -63,12 +63,12 @@ func TestGreedySelectReachesUnionCoverage(t *testing.T) {
 
 	// The greedy test set must detect exactly what the union of selected
 	// inputs detects, and reach ≥ TargetFC of the detectable universe.
-	sim := must(fault.Simulate(net, faults, res.Stimulus, 1, nil))
+	sim := must(fault.SimulateWith(net, faults, res.Stimulus, fault.CampaignOptions{Workers: 1}))
 	got := sim.NumDetected()
 	unionDet := 0
 	union := make([]bool, len(faults))
 	for _, cand := range pool {
-		s := must(fault.Simulate(net, faults, cand, 1, nil))
+		s := must(fault.SimulateWith(net, faults, cand, fault.CampaignOptions{Workers: 1}))
 		for i, d := range s.Detected {
 			if d && !union[i] {
 				union[i] = true
@@ -173,23 +173,42 @@ func TestAdversarial17EndToEnd(t *testing.T) {
 	}
 }
 
+// TestAssembleSeparators pins the baseline test layout to Eq. 7: the
+// selected inputs, in selection order, each followed (except the last)
+// by an all-zero separator of its own duration.
 func TestAssembleSeparators(t *testing.T) {
 	net := toyNet(17)
-	a := tensor.Full(1, 3, 4)
-	b := tensor.Full(1, 2, 4)
-	stim := assemble(net, []*tensor.Tensor{a, b})
-	// 3 + 3 (separator) + 2 = 8 steps.
-	if stim.Dim(0) != 8 {
-		t.Fatalf("assembled %d steps, want 8", stim.Dim(0))
+	faults := fault.Enumerate(net, fault.DefaultOptions())
+	pool := append(randomPool(18, net, 3, 5, 0.5), randomPool(19, net, 3, 3, 0.5)...)
+	res := must(GreedySelect(net, faults, pool, DefaultConfig()))
+	if len(res.Selected) < 2 {
+		t.Fatalf("selected %d inputs; the fixture must select at least 2 to place a separator", len(res.Selected))
 	}
-	rowSum := func(s int) float64 {
-		sum := 0.0
-		for i := 0; i < 4; i++ {
-			sum += stim.At(s, i)
+	frame := net.InputLen()
+	off := 0
+	for i, in := range res.Selected {
+		steps := in.Dim(0)
+		for s := 0; s < steps; s++ {
+			for j := 0; j < frame; j++ {
+				if res.Stimulus.At(off+s, j) != in.At(s, j) {
+					t.Fatalf("input %d step %d element %d differs from the selected input", i, s, j)
+				}
+			}
 		}
-		return sum
+		off += steps
+		if i == len(res.Selected)-1 {
+			break
+		}
+		for s := 0; s < steps; s++ {
+			for j := 0; j < frame; j++ {
+				if res.Stimulus.At(off+s, j) != 0 {
+					t.Fatalf("separator after input %d is not zero at step %d", i, s)
+				}
+			}
+		}
+		off += steps
 	}
-	if rowSum(0) != 4 || rowSum(3) != 0 || rowSum(6) != 4 {
-		t.Error("separator layout wrong")
+	if off != res.Stimulus.Dim(0) {
+		t.Errorf("stimulus has %d steps, want %d", res.Stimulus.Dim(0), off)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/repro/snntest/internal/fault"
@@ -12,23 +13,26 @@ func TestCompactPreservesCoverage(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Seed = 21
 	cfg.MinNewFraction = 0 // let redundant chunks accumulate
-	res := must(Generate(net, cfg))
+	res := must(GenerateContext(context.Background(), net, cfg))
 	faults := fault.Enumerate(net, fault.DefaultOptions())
 
-	before := must(fault.Simulate(net, faults, res.Stimulus, 1, nil)).NumDetected()
-	compacted, stats, err := Compact(net, res, faults, 1)
+	before := must(fault.SimulateWith(net, faults, res.Stimulus, fault.CampaignOptions{Workers: 1})).NumDetected()
+	compacted, stats, err := CompactContext(context.Background(), net, res, faults, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := must(fault.Simulate(net, faults, compacted.Stimulus, 1, nil)).NumDetected()
+	after := must(fault.SimulateWith(net, faults, compacted.Stimulus, fault.CampaignOptions{Workers: 1})).NumDetected()
 
 	if stats.ChunksAfter > stats.ChunksBefore || stats.StepsAfter > stats.StepsBefore {
 		t.Errorf("compaction grew the test: %+v", stats)
 	}
-	// Union-of-chunks detection must be at least the per-chunk union the
-	// compactor certified; the assembled test may only differ through
-	// cross-chunk membrane interactions, which the zero separators
-	// eliminate — so coverage must not regress.
+	// The compactor certifies the union of isolated-chunk campaigns, not
+	// the assembled test: with leak < 1 the zero separators only decay
+	// membranes toward rest, so cross-chunk state can move the assembled
+	// count either way (on IBM at seed 7 the union is 1,099 against the
+	// test's 1,113). No such carry-over changes a detection on this toy
+	// fixture, which pins that coverage does not regress here and that
+	// the certified count bounds the observed one.
 	if after < before {
 		t.Errorf("compaction lost coverage: %d → %d detected", before, after)
 	}
@@ -42,12 +46,12 @@ func TestCompactSingleChunkNoop(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Seed = 23
 	cfg.MaxIterations = 1
-	res := must(Generate(net, cfg))
+	res := must(GenerateContext(context.Background(), net, cfg))
 	if len(res.Chunks) != 1 {
 		t.Skip("needs a single-chunk result")
 	}
 	faults := fault.Enumerate(net, fault.DefaultOptions())
-	compacted, stats, err := Compact(net, res, faults, 1)
+	compacted, stats, err := CompactContext(context.Background(), net, res, faults, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +67,7 @@ func TestCompactDropsRedundantChunk(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Seed = 25
 	cfg.MaxIterations = 1
-	res := must(Generate(net, cfg))
+	res := must(GenerateContext(context.Background(), net, cfg))
 	dup := &Result{
 		Chunks:    []*tensor.Tensor{res.Chunks[0], res.Chunks[0].Clone()},
 		TInMin:    res.TInMin,
@@ -71,7 +75,7 @@ func TestCompactDropsRedundantChunk(t *testing.T) {
 	}
 	dup.Stimulus = Assemble(net, dup.Chunks)
 	faults := fault.Enumerate(net, fault.DefaultOptions())
-	_, stats, err := Compact(net, dup, faults, 1)
+	_, stats, err := CompactContext(context.Background(), net, dup, faults, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

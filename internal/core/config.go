@@ -39,10 +39,10 @@ func (p Parallel) restarts() int {
 // algorithm (Section V-C). The zero value is not usable; start from
 // DefaultConfig or TestConfig.
 type Config struct {
-	// TInMin is the initial chunk duration in steps. When 0, Generate
-	// calibrates it as the minimum duration whose optimized input makes
-	// every output neuron fire (the paper's min-L1 calibration starting
-	// at 1 ms).
+	// TInMin is the initial chunk duration in steps. When 0,
+	// GenerateContext calibrates it as the minimum duration whose
+	// optimized input makes every output neuron fire (the paper's min-L1
+	// calibration starting at 1 ms).
 	TInMin int
 	// TInFloor lower-bounds the calibrated T_in,min. In this simulator a
 	// spike cascades through every layer within one step, so very small
@@ -69,9 +69,9 @@ type Config struct {
 	// length on models whose activation tail saturates slowly.
 	MinNewFraction float64
 	// TimeLimit is the paper's t_limit termination condition (3 h there).
-	// Generate enforces it through a context deadline: the zero value
-	// expires immediately (matching the historical ad-hoc polling), so
-	// callers wanting an effectively unbounded run set a large value.
+	// GenerateContext enforces it through a context deadline: the zero
+	// value expires immediately (matching the historical ad-hoc polling),
+	// so callers wanting an effectively unbounded run set a large value.
 	TimeLimit time.Duration
 	// Parallel configures the restart count and worker pool of the
 	// generation engine; the zero value runs one restart per iteration on

@@ -45,8 +45,8 @@ type IterationStats struct {
 	RestartsRun int
 }
 
-// Result is the output of Generate: the assembled test stimulus and its
-// provenance.
+// Result is the output of GenerateContext: the assembled test stimulus
+// and its provenance.
 type Result struct {
 	// Stimulus is the final test input I = {I¹,0¹,…,I^d} (Eq. 7), shape
 	// [T_test, InShape...].
@@ -75,20 +75,14 @@ func (r *Result) DurationSamples(sampleSteps int) float64 {
 	return float64(r.TotalSteps()) / float64(sampleSteps)
 }
 
-// Generate runs the full test-generation algorithm of Fig. 2 on the
-// fault-free network and returns the assembled stimulus. The network
-// model stays fixed throughout; only the input is optimized. It is
-// GenerateContext under a background context.
-func Generate(net *snn.Network, cfg Config) (*Result, error) {
-	return GenerateContext(context.Background(), net, cfg)
-}
-
-// GenerateContext is Generate with caller-controlled cancellation: the
-// paper's t_limit (Config.TimeLimit) is layered onto ctx as a deadline,
-// and both the outer chunk loop and every duration-growth loop observe
-// ctx instead of polling the wall clock. Cancellation is graceful — the
-// partial result generated so far is returned, never an error, exactly
-// like hitting t_limit.
+// GenerateContext runs the full test-generation algorithm of Fig. 2 on
+// the fault-free network and returns the assembled stimulus. The network
+// model stays fixed throughout; only the input is optimized. The paper's
+// t_limit (Config.TimeLimit) is layered onto ctx as a deadline, and both
+// the outer chunk loop and every duration-growth loop observe ctx instead
+// of polling the wall clock. Cancellation is graceful — the partial
+// result generated so far is returned, never an error, exactly like
+// hitting t_limit.
 //
 // Each iteration runs Config.Parallel.Restarts restarts on a bounded
 // worker pool; see Parallel for the determinism contract (results depend
@@ -278,8 +272,11 @@ func newTargets(act, target map[int]bool) int {
 
 // Assemble concatenates the chunks interleaved with equal-length zero
 // inputs (Eq. 7): {I¹, 0¹, I², 0², …, 0^{d-1}, I^d}. The zero separators
-// let every membrane decay back to rest, the paper's "sleep" reset
-// between chunks. The total duration follows Eq. 8.
+// are the paper's "sleep" between chunks: they let membranes decay toward
+// rest, but with a leak below 1 no membrane returns exactly to rest, so a
+// chunk can still see state carried over from the one before. The total
+// duration follows Eq. 8. Every multi-chunk test in the module, the
+// Table IV baselines included, is joined here.
 func Assemble(net *snn.Network, chunks []*tensor.Tensor) *tensor.Tensor {
 	if len(chunks) == 0 {
 		return net.ZeroInput(1)

@@ -77,7 +77,7 @@ func TestGenerateActivatesNeuronsAndAssembles(t *testing.T) {
 	net := smallNet(6)
 	cfg := TestConfig()
 	cfg.Seed = 7
-	res := must(Generate(net, cfg))
+	res := must(GenerateContext(context.Background(), net, cfg))
 
 	if res.Stimulus == nil || res.TotalSteps() < 1 {
 		t.Fatal("no stimulus generated")
@@ -125,8 +125,8 @@ func TestGenerateDeterministicWithSeed(t *testing.T) {
 	net := smallNet(8)
 	cfg := TestConfig()
 	cfg.Seed = 9
-	a := must(Generate(net, cfg))
-	b := must(Generate(net, cfg))
+	a := must(GenerateContext(context.Background(), net, cfg))
+	b := must(GenerateContext(context.Background(), net, cfg))
 	if !tensor.Equal(a.Stimulus, b.Stimulus, 0) {
 		t.Error("same seed must reproduce the same stimulus")
 	}
@@ -136,7 +136,7 @@ func TestGenerateRespectsTimeLimit(t *testing.T) {
 	net := smallNet(10)
 	cfg := TestConfig()
 	cfg.TimeLimit = 0 // expire immediately after the first checks
-	res := must(Generate(net, cfg))
+	res := must(GenerateContext(context.Background(), net, cfg))
 	if len(res.Chunks) > 1 {
 		t.Errorf("time-limited run produced %d chunks", len(res.Chunks))
 	}
@@ -146,7 +146,7 @@ func TestGenerateRespectsMaxIterations(t *testing.T) {
 	net := smallNet(11)
 	cfg := TestConfig()
 	cfg.MaxIterations = 1
-	res := must(Generate(net, cfg))
+	res := must(GenerateContext(context.Background(), net, cfg))
 	if len(res.Chunks) > 1 {
 		t.Errorf("MaxIterations=1 produced %d chunks", len(res.Chunks))
 	}
@@ -161,10 +161,10 @@ func TestGeneratedTestCoversFaults(t *testing.T) {
 	net := smallNet(12)
 	cfg := TestConfig()
 	cfg.Seed = 13
-	res := must(Generate(net, cfg))
+	res := must(GenerateContext(context.Background(), net, cfg))
 
 	faults := fault.Enumerate(net, fault.DefaultOptions())
-	sim := must(fault.Simulate(net, faults, res.Stimulus, 1, nil))
+	sim := must(fault.SimulateWith(net, faults, res.Stimulus, fault.CampaignOptions{Workers: 1}))
 	fcOpt := float64(sim.NumDetected()) / float64(len(faults))
 
 	if fcOpt < 0.6 {
@@ -194,7 +194,7 @@ func TestGenerateOnConvNetwork(t *testing.T) {
 	cfg.Steps1 = 25
 	cfg.MaxIterations = 2
 	cfg.TimeLimit = time.Minute
-	res := must(Generate(net, cfg))
+	res := must(GenerateContext(context.Background(), net, cfg))
 	if res.TotalSteps() < 1 {
 		t.Fatal("no stimulus for conv network")
 	}

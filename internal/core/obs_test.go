@@ -44,7 +44,7 @@ func TestObsGenerateSpanTree(t *testing.T) {
 	net := smallNet(21)
 	cfg := TestConfig()
 	cfg.Seed = 22
-	res := must(Generate(net, cfg))
+	res := must(GenerateContext(context.Background(), net, cfg))
 
 	root := spanByName(t, rec, "generate")
 	if root.Parent != 0 {
@@ -104,7 +104,7 @@ func TestObsParallelRestartSpans(t *testing.T) {
 	cfg.Seed = 24
 	cfg.Parallel.Restarts = 3
 	cfg.Parallel.Workers = 2
-	res := must(Generate(net, cfg))
+	res := must(GenerateContext(context.Background(), net, cfg))
 
 	wantRestarts := 0
 	for _, tr := range res.Trace {
@@ -152,10 +152,10 @@ func TestObsGenerateBitIdentical(t *testing.T) {
 	net := smallNet(25)
 	cfg := TestConfig()
 	cfg.Seed = 26
-	dark := must(Generate(net.Clone(), cfg))
+	dark := must(GenerateContext(context.Background(), net.Clone(), cfg))
 
 	withObsRecorder(t)
-	lit := must(Generate(net.Clone(), cfg))
+	lit := must(GenerateContext(context.Background(), net.Clone(), cfg))
 
 	if !tensor.Equal(dark.Stimulus, lit.Stimulus, 0) {
 		t.Fatal("enabling obs changed the generated stimulus")
@@ -172,7 +172,7 @@ func TestObsCompactSpanNestsCampaigns(t *testing.T) {
 	net := smallNet(27)
 	cfg := TestConfig()
 	cfg.Seed = 28
-	res := must(Generate(net, cfg))
+	res := must(GenerateContext(context.Background(), net, cfg))
 	faults := fault.Enumerate(net, fault.DefaultOptions())
 
 	_, _, err := CompactContext(context.Background(), net, res, faults, 2)

@@ -30,8 +30,8 @@ func TestEquivGenerateWorkerCountInvariance(t *testing.T) {
 	for _, benchmark := range []string{"nmnist", "ibm-gesture", "shd"} {
 		t.Run(benchmark, func(t *testing.T) {
 			net := must(snn.Build(benchmark, rand.New(rand.NewSource(31)), snn.ScaleTiny))
-			serial := must(Generate(net, fastParallelConfig(4, 1)))
-			parallel := must(Generate(net, fastParallelConfig(4, 4)))
+			serial := must(GenerateContext(context.Background(), net, fastParallelConfig(4, 1)))
+			parallel := must(GenerateContext(context.Background(), net, fastParallelConfig(4, 4)))
 			if !tensor.Equal(serial.Stimulus, parallel.Stimulus, 0) {
 				t.Fatal("Workers=4 stimulus differs from Workers=1 at Restarts=4")
 			}
@@ -57,7 +57,7 @@ func TestEquivRestartsZeroAndOneAgree(t *testing.T) {
 	var results []*Result
 	for _, par := range []Parallel{{}, {Restarts: 1, Workers: 1}, {Restarts: 1, Workers: 4}} {
 		cfg.Parallel = par
-		results = append(results, must(Generate(net, cfg)))
+		results = append(results, must(GenerateContext(context.Background(), net, cfg)))
 	}
 	ref := results[0]
 	for i, res := range results[1:] {
@@ -89,9 +89,9 @@ func TestEquivCalibrateTInMinParallelWorkerInvariance(t *testing.T) {
 
 	genCfg := fastParallelConfig(2, 1)
 	genCfg.TInMin = 0 // force the calibration entry path
-	a := must(Generate(net, genCfg))
+	a := must(GenerateContext(context.Background(), net, genCfg))
 	genCfg.Parallel.Workers = 4
-	b := must(Generate(net, genCfg))
+	b := must(GenerateContext(context.Background(), net, genCfg))
 	if a.TInMin != b.TInMin || !tensor.Equal(a.Stimulus, b.Stimulus, 0) {
 		t.Error("calibrated parallel generation differs by worker count")
 	}
@@ -102,7 +102,7 @@ func TestEquivCalibrateTInMinParallelWorkerInvariance(t *testing.T) {
 func TestParallelTraceProvenance(t *testing.T) {
 	net := smallNet(6)
 	cfg := fastParallelConfig(3, 2)
-	res := must(Generate(net, cfg))
+	res := must(GenerateContext(context.Background(), net, cfg))
 	if len(res.Trace) == 0 {
 		t.Fatal("no iterations recorded")
 	}
@@ -116,7 +116,7 @@ func TestParallelTraceProvenance(t *testing.T) {
 	}
 
 	cfg.Parallel = Parallel{}
-	res = must(Generate(net, cfg))
+	res = must(GenerateContext(context.Background(), net, cfg))
 	for _, it := range res.Trace {
 		if it.Restart != 0 || it.RestartsRun != 1 {
 			t.Errorf("single-restart iteration %d: provenance %d/%d, want 0/1", it.Iteration, it.Restart, it.RestartsRun)
@@ -151,7 +151,7 @@ func TestParallelRestartsRaceStress(t *testing.T) {
 	cfg.Steps1 = 10
 	var first *tensor.Tensor
 	for rep := 0; rep < 3; rep++ {
-		res := must(Generate(net, cfg))
+		res := must(GenerateContext(context.Background(), net, cfg))
 		if first == nil {
 			first = res.Stimulus
 		} else if !tensor.Equal(first, res.Stimulus, 0) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,9 +10,9 @@ import (
 	"github.com/repro/snntest/internal/tensor"
 )
 
-// runPipeline executes the full Generate → Compact → fault classification
-// chain on the tiny NMNIST builder fixture with the given parallel
-// settings, returning everything the golden assertions inspect.
+// runPipeline executes the full GenerateContext → CompactContext → fault
+// campaign chain on the tiny NMNIST builder fixture with the given
+// parallel settings, returning everything the golden assertions inspect.
 func runPipeline(t *testing.T, par Parallel) (*Result, CompactionStats, float64) {
 	t.Helper()
 	net := must(snn.Build("nmnist", rand.New(rand.NewSource(97)), snn.ScaleTiny))
@@ -22,14 +23,14 @@ func runPipeline(t *testing.T, par Parallel) (*Result, CompactionStats, float64)
 	cfg.MaxGrowth = 1
 	cfg.TInMin = 6
 	cfg.Parallel = par
-	res := must(Generate(net, cfg))
+	res := must(GenerateContext(context.Background(), net, cfg))
 
 	faults := fault.Enumerate(net, fault.DefaultOptions())
-	compacted, stats, err := Compact(net, res, faults, 2)
+	compacted, stats, err := CompactContext(context.Background(), net, res, faults, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := must(fault.Simulate(net, faults, compacted.Stimulus, 2, nil))
+	sim := must(fault.SimulateWith(net, faults, compacted.Stimulus, fault.CampaignOptions{Workers: 2}))
 	coverage := float64(sim.NumDetected()) / float64(len(faults))
 	return compacted, stats, coverage
 }

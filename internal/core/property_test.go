@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -90,7 +91,7 @@ func TestGenerateBinaryProperty(t *testing.T) {
 		net := smallNet(seed)
 		c := cfg
 		c.Seed = seed + 1
-		res := must(Generate(net, c))
+		res := must(GenerateContext(context.Background(), net, c))
 		if res.TotalSteps() < 1 {
 			return false
 		}
@@ -113,7 +114,7 @@ func TestActivatedMonotoneProperty(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Steps1 = 25
 	cfg.Seed = 8
-	res := must(Generate(net, cfg))
+	res := must(GenerateContext(context.Background(), net, cfg))
 	prev := -1
 	for _, tr := range res.Trace {
 		if tr.TotalActivated < prev {

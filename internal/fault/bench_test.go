@@ -64,6 +64,6 @@ func BenchmarkClassify(b *testing.B) {
 	samples := []*tensor.Tensor{denseStim(5, net, 15), denseStim(6, net, 15)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Classify(net, faults, samples, 1, nil)
+		ClassifyWith(net, faults, samples, CampaignOptions{Workers: 1})
 	}
 }

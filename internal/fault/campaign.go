@@ -254,23 +254,18 @@ func (c *campaign) run(net *snn.Network, faults []Fault, opts CampaignOptions) c
 	return t
 }
 
-// Simulate runs the fault-simulation campaign: each fault is injected in
-// turn and the network is simulated on the stimulus; the fault is
-// detected if the output spike trains differ from the golden response in
-// L1 (Eq. 3). workers ≤ 0 uses GOMAXPROCS. progress, when non-nil, is
-// called periodically with the number of completed faults (see
-// CampaignOptions.Progress for its concurrency contract).
+// SimulateWith runs the fault-simulation campaign: each fault is
+// injected in turn and the network is simulated on the stimulus; the
+// fault is detected if the output spike trains differ from the golden
+// response in L1 (Eq. 3). opts.Workers ≤ 0 uses GOMAXPROCS; see
+// CampaignOptions for progress reporting, cancellation and the
+// FullResim reference path.
 //
 // The campaign is incremental: a fault at layer ℓ cannot perturb layers
 // below ℓ, so simulation replays the golden record up to the fault site
 // and re-simulates only layers ≥ ℓ, stopping at the first time step whose
 // output row diverges from the golden response. Detection flags are
 // identical to a full re-simulation of every fault.
-func Simulate(golden *snn.Network, faults []Fault, stimulus *tensor.Tensor, workers int, progress func(done int)) (*SimResult, error) {
-	return SimulateWith(golden, faults, stimulus, CampaignOptions{Workers: workers, Progress: progress})
-}
-
-// SimulateWith is Simulate with explicit campaign options.
 func SimulateWith(golden *snn.Network, faults []Fault, stimulus *tensor.Tensor, opts CampaignOptions) (*SimResult, error) {
 	start := time.Now()
 	steps, err := golden.CheckInput(stimulus)
@@ -336,24 +331,15 @@ func firstDivergence(out, golden *tensor.Tensor, steps int) int {
 	return -1
 }
 
-// Classify labels each fault critical (true) or benign (false): a fault
-// is critical when it flips the top-1 prediction of at least one of the
-// labelled evaluation stimuli (the paper's criterion). This is the
-// expensive full-dataset campaign of Table II; like Simulate it starts
-// each faulty simulation at the fault site by golden-trace replay.
-func Classify(golden *snn.Network, faults []Fault, samples []*tensor.Tensor, workers int, progress func(done int)) ([]bool, error) {
-	res, err := ClassifyWith(golden, faults, samples, CampaignOptions{Workers: workers, Progress: progress})
-	if err != nil {
-		return nil, err
-	}
-	return res.Critical, nil
-}
-
-// ClassifyWith is Classify with explicit campaign options. The golden
-// network is simulated once per sample and the per-layer spike records
-// are kept for replay, so memory grows with samples × total neurons ×
-// steps; the per-fault cost drops from a full-network run per sample to
-// the layers at and above the fault site.
+// ClassifyWith labels each fault critical (Critical[i] true) or benign:
+// a fault is critical when it flips the top-1 prediction of at least one
+// of the labelled evaluation stimuli (the paper's criterion). This is the
+// expensive full-dataset campaign of Table II; like SimulateWith it
+// starts each faulty simulation at the fault site by golden-trace replay.
+// The golden network is simulated once per sample and the per-layer spike
+// records are kept for replay, so memory grows with samples × total
+// neurons × steps; the per-fault cost drops from a full-network run per
+// sample to the layers at and above the fault site.
 func ClassifyWith(golden *snn.Network, faults []Fault, samples []*tensor.Tensor, opts CampaignOptions) (*ClassifyResult, error) {
 	start := time.Now()
 	for si, s := range samples {
@@ -416,14 +402,6 @@ func ClassifyWith(golden *snn.Network, faults []Fault, samples []*tensor.Tensor,
 	return res, nil
 }
 
-// AccuracyDrop returns how much the network's top-1 accuracy on the
-// labelled samples drops when the fault is present (positive = worse than
-// golden). It quantifies the worst-case effect of a test escape
-// (Table III, last row).
-func AccuracyDrop(golden *snn.Network, f Fault, samples []*tensor.Tensor, labels []int) float64 {
-	return newEscapeEval(golden, samples, labels).drop(f)
-}
-
 // escapeEval is what every accuracy-drop evaluation over one labelled
 // sample set shares: the golden records and golden-correct count, run
 // once, and one injector that each fault is applied to and reverted on.
@@ -446,7 +424,8 @@ func newEscapeEval(golden *snn.Network, samples []*tensor.Tensor, labels []int) 
 	return e
 }
 
-// drop is AccuracyDrop of fault f.
+// drop returns how much the network's top-1 accuracy on the labelled
+// samples drops when fault f is present (positive = worse than golden).
 func (e *escapeEval) drop(f Fault) float64 {
 	revert := e.inj.Apply(f)
 	defer revert()

@@ -81,8 +81,8 @@ func TestEquivSimulateParallelMatchesSerialIncremental(t *testing.T) {
 	net := must(snn.BuildIBMGesture(rand.New(rand.NewSource(75)), snn.ScaleTiny))
 	faults := SampleUniverse(net, DefaultOptions(), 2)
 	stim := denseStim(76, net, 10)
-	serial := must(Simulate(net, faults, stim, 1, nil))
-	parallel := must(Simulate(net, faults, stim, 4, nil))
+	serial := must(SimulateWith(net, faults, stim, CampaignOptions{Workers: 1}))
+	parallel := must(SimulateWith(net, faults, stim, CampaignOptions{Workers: 4}))
 	for i := range faults {
 		if serial.Detected[i] != parallel.Detected[i] {
 			t.Fatalf("fault %d (%v): serial %v, parallel %v", i, faults[i], serial.Detected[i], parallel.Detected[i])
@@ -101,7 +101,7 @@ func TestLayerStepSavings(t *testing.T) {
 	net := must(snn.BuildIBMGesture(rand.New(rand.NewSource(77)), snn.ScaleTiny))
 	faults := Enumerate(net, DefaultOptions())
 	stim := denseStim(78, net, 14)
-	res := must(Simulate(net, faults, stim, 0, nil))
+	res := must(SimulateWith(net, faults, stim, CampaignOptions{}))
 	if res.LayerSteps*2 > res.FullLayerSteps {
 		t.Errorf("incremental campaign simulated %d of %d full layer-steps, want ≤ half",
 			res.LayerSteps, res.FullLayerSteps)
@@ -130,8 +130,8 @@ func TestCampaignLeavesGoldenBitIdentical(t *testing.T) {
 	before := net.Run(stim)
 
 	faults := SampleUniverse(net, ExtendedOptions(), 3)
-	must(Simulate(net, faults, stim, 4, nil))
-	must(Classify(net, faults, samples, 4, nil))
+	must(SimulateWith(net, faults, stim, CampaignOptions{Workers: 4}))
+	must(ClassifyWith(net, faults, samples, CampaignOptions{Workers: 4}))
 
 	after := net.Run(stim)
 	for li := range before.Layers {

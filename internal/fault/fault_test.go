@@ -269,7 +269,7 @@ func TestSimulateDetectsInjectedFaults(t *testing.T) {
 		{Kind: NeuronSaturated, Layer: 1, Neuron: 1},
 		{Kind: NeuronSaturated, Layer: 1, Neuron: 2},
 	}
-	res := must(Simulate(net, faults, stim, 1, nil))
+	res := must(SimulateWith(net, faults, stim, CampaignOptions{Workers: 1}))
 	golden := net.Run(stim)
 	for i := range faults {
 		count := tensor.Sum(golden.NeuronTrain(1, faults[i].Neuron))
@@ -286,8 +286,8 @@ func TestSimulateParallelMatchesSerial(t *testing.T) {
 	net := tinyNet(13)
 	stim := denseStim(14, net, 15)
 	faults := Enumerate(net, DefaultOptions())
-	serial := must(Simulate(net, faults, stim, 1, nil))
-	parallel := must(Simulate(net, faults, stim, 4, nil))
+	serial := must(SimulateWith(net, faults, stim, CampaignOptions{Workers: 1}))
+	parallel := must(SimulateWith(net, faults, stim, CampaignOptions{Workers: 4}))
 	for i := range faults {
 		if serial.Detected[i] != parallel.Detected[i] {
 			t.Fatalf("fault %d (%v): serial %v, parallel %v", i, faults[i], serial.Detected[i], parallel.Detected[i])
@@ -304,7 +304,7 @@ func TestSimulateProgressCallback(t *testing.T) {
 	faults := Enumerate(net, DefaultOptions())
 	calls := 0
 	last := 0
-	Simulate(net, faults, stim, 1, func(done int) { calls++; last = done })
+	SimulateWith(net, faults, stim, CampaignOptions{Workers: 1, Progress: func(done int) { calls++; last = done }})
 	if calls == 0 || last != len(faults) {
 		t.Errorf("progress: %d calls, last %d of %d", calls, last, len(faults))
 	}
@@ -316,7 +316,7 @@ func TestZeroStimulusDetectsOnlySaturation(t *testing.T) {
 	net := tinyNet(17)
 	stim := net.ZeroInput(10)
 	faults := Enumerate(net, DefaultOptions())
-	res := must(Simulate(net, faults, stim, 1, nil))
+	res := must(SimulateWith(net, faults, stim, CampaignOptions{Workers: 1}))
 	for i, f := range faults {
 		if res.Detected[i] && f.Kind != NeuronSaturated {
 			t.Errorf("fault %v detected by zero stimulus", f)
@@ -337,7 +337,7 @@ func TestClassifyCriticalFaults(t *testing.T) {
 		{Kind: NeuronSaturated, Layer: 1, Neuron: 0}, // floods class 0: flips anything not predicted 0
 		{Kind: SynapseDead, Layer: 0, Synapse: 0},
 	}
-	critical := must(Classify(net, faults, samples, 1, nil))
+	critical := must(ClassifyWith(net, faults, samples, CampaignOptions{Workers: 1})).Critical
 	pred := net.Predict(samples[0])
 	pred2 := net.Predict(samples[1])
 	if pred != 0 || pred2 != 0 {
@@ -378,6 +378,10 @@ func TestComputeCoverage(t *testing.T) {
 	}
 }
 
+// TestAccuracyDropOfDestructiveFault pins the escape accuracy drop of one
+// fault: saturating an output neuron makes every prediction that class, so
+// on samples labelled with the golden prediction (golden accuracy 1) the
+// drop is exactly the fraction labelled otherwise.
 func TestAccuracyDropOfDestructiveFault(t *testing.T) {
 	net := tinyNet(21)
 	var samples []*tensor.Tensor
@@ -387,8 +391,8 @@ func TestAccuracyDropOfDestructiveFault(t *testing.T) {
 		samples = append(samples, s)
 		labels = append(labels, net.Predict(s)) // golden accuracy = 1 by construction
 	}
-	// Saturate an output neuron: every prediction becomes that class.
-	drop := AccuracyDrop(net, Fault{Kind: NeuronSaturated, Layer: 1, Neuron: 2}, samples, labels)
+	faults := []Fault{{Kind: NeuronSaturated, Layer: 1, Neuron: 2}}
+	drop, _ := MaxEscapeDrop(net, faults, []bool{false}, []bool{true}, samples, labels)
 	wrongGolden := 0
 	for _, l := range labels {
 		if l != 2 {
@@ -401,24 +405,39 @@ func TestAccuracyDropOfDestructiveFault(t *testing.T) {
 	}
 }
 
+// TestMaxEscapeDrop pins which faults count as escapes: a detected fault
+// and a non-critical fault contribute nothing, and each class keeps the
+// drop of its own undetected critical faults only.
 func TestMaxEscapeDrop(t *testing.T) {
-	net := tinyNet(22)
+	net := tinyNet(21)
 	var samples []*tensor.Tensor
 	var labels []int
-	for i := 0; i < 4; i++ {
-		s := denseStim(int64(40+i), net, 12)
+	for i := 0; i < 6; i++ {
+		s := denseStim(int64(30+i), net, 15)
 		samples = append(samples, s)
 		labels = append(labels, net.Predict(s))
 	}
-	faults := []Fault{
-		{Kind: NeuronSaturated, Layer: 1, Neuron: 0}, // escape, critical
-		{Kind: SynapseDead, Layer: 0, Synapse: 0},    // detected
+	saturated := Fault{Kind: NeuronSaturated, Layer: 1, Neuron: 2}
+	want, _ := MaxEscapeDrop(net, []Fault{saturated}, []bool{false}, []bool{true}, samples, labels)
+	if want == 0 {
+		t.Fatal("fixture: the saturated output neuron must drop accuracy")
 	}
-	detected := []bool{false, true}
-	critical := []bool{true, true}
+	faults := []Fault{
+		saturated, // escape, critical
+		{Kind: SynapseDead, Layer: 0, Synapse: 0},    // detected
+		{Kind: NeuronSaturated, Layer: 1, Neuron: 0}, // escape, not critical
+	}
+	detected := []bool{false, true, false}
+	critical := []bool{true, true, false}
 	nDrop, sDrop := MaxEscapeDrop(net, faults, detected, critical, samples, labels)
-	if nDrop < 0 || sDrop != 0 {
-		t.Errorf("escape drops = %g/%g; synapse fault was detected so its drop must be 0", nDrop, sDrop)
+	if nDrop != want {
+		t.Errorf("neuron escape drop = %g, want %g from the one critical escape", nDrop, want)
+	}
+	if sDrop != 0 {
+		t.Errorf("synapse escape drop = %g; the synapse fault was detected so its drop must be 0", sDrop)
+	}
+	if d, _ := MaxEscapeDrop(net, faults, []bool{true, true, true}, critical, samples, labels); d != 0 {
+		t.Errorf("all-detected neuron escape drop = %g, want 0", d)
 	}
 }
 

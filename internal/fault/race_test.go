@@ -17,7 +17,7 @@ func TestSimulateRaceSmoke(t *testing.T) {
 	faults := Enumerate(net, DefaultOptions())
 	stim := denseStim(32, net, 12)
 
-	serial := must(Simulate(net, faults, stim, 1, nil))
+	serial := must(SimulateWith(net, faults, stim, CampaignOptions{Workers: 1}))
 
 	// Several parallel campaigns against the same golden network at
 	// once: the -race detector sees any sharing between worker clones.
@@ -26,7 +26,7 @@ func TestSimulateRaceSmoke(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			parallel, err := Simulate(net, faults, stim, 4, nil)
+			parallel, err := SimulateWith(net, faults, stim, CampaignOptions{Workers: 4})
 			if err != nil {
 				t.Error(err)
 				return
@@ -51,8 +51,8 @@ func TestClassifyRaceSmoke(t *testing.T) {
 	faults := Enumerate(net, DefaultOptions())
 	samples := []*tensor.Tensor{denseStim(34, net, 10), denseStim(35, net, 10)}
 
-	serial := must(Classify(net, faults, samples, 1, nil))
-	parallel := must(Classify(net, faults, samples, 4, nil))
+	serial := must(ClassifyWith(net, faults, samples, CampaignOptions{Workers: 1})).Critical
+	parallel := must(ClassifyWith(net, faults, samples, CampaignOptions{Workers: 4})).Critical
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Fatalf("fault %d: parallel criticality differs from serial", i)

@@ -20,7 +20,7 @@ func knownKind(k Kind) bool { return k <= SynapseBitFlip }
 // precondition under which the event-driven simulator kernels match the
 // reference path — and that every fault addresses an existing layer,
 // neuron or synapse of the network and has a known kind. Campaign entry
-// points (Simulate, Classify) call it once before their injection loops
+// points (SimulateWith, ClassifyWith) call it once before their injection loops
 // so the loops themselves can rely on panic-free, exact simulation.
 func Validate(net *snn.Network, faults []Fault) error {
 	if err := net.CheckFiniteWeights(); err != nil {

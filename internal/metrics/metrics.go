@@ -86,7 +86,7 @@ func OutputSpikeDiffs(net *snn.Network, faults []fault.Fault, stimulus *tensor.T
 	for _, f := range faults {
 		revert := inj.Apply(f)
 		// Golden-trace replay: only the layers at and above the fault
-		// site need re-simulation (see fault.Simulate).
+		// site need re-simulation (see fault.SimulateWith).
 		rec, _ := inj.Scratch().RunFrom(f.StartLayer(), goldenRec, stimulus)
 		counts := rec.OutputCounts()
 		revert()
@@ -218,27 +218,4 @@ func SummarizeGeneration(trace []core.IterationStats) GenerationSummary {
 // step period.
 func DurationSeconds(net *snn.Network, steps int) float64 {
 	return float64(steps) * net.StepMS / 1000
-}
-
-// WilsonInterval returns the 95% Wilson score interval for a coverage
-// estimate of k detections out of n sampled faults — the right way to
-// report fault coverage measured on a strided subsample of the universe.
-func WilsonInterval(k, n int) (lo, hi float64) {
-	if n == 0 {
-		return 0, 1
-	}
-	const z = 1.959964 // 97.5th percentile of the standard normal
-	p := float64(k) / float64(n)
-	nf := float64(n)
-	denom := 1 + z*z/nf
-	center := (p + z*z/(2*nf)) / denom
-	half := z * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf)) / denom
-	lo, hi = center-half, center+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
 }

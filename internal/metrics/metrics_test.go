@@ -116,30 +116,6 @@ func TestDurationSeconds(t *testing.T) {
 	}
 }
 
-func TestWilsonInterval(t *testing.T) {
-	lo, hi := WilsonInterval(0, 0)
-	if lo != 0 || hi != 1 {
-		t.Error("empty sample must be maximally uncertain")
-	}
-	lo, hi = WilsonInterval(50, 100)
-	if !(lo < 0.5 && 0.5 < hi) {
-		t.Errorf("interval [%g,%g] must bracket the point estimate", lo, hi)
-	}
-	if hi-lo > 0.25 {
-		t.Errorf("interval too wide for n=100: [%g,%g]", lo, hi)
-	}
-	// More samples → tighter interval.
-	lo2, hi2 := WilsonInterval(500, 1000)
-	if hi2-lo2 >= hi-lo {
-		t.Error("interval must shrink with sample size")
-	}
-	// Boundary cases stay within [0,1].
-	lo, hi = WilsonInterval(100, 100)
-	if hi != 1 || lo < 0.9 {
-		t.Errorf("perfect coverage interval [%g,%g]", lo, hi)
-	}
-}
-
 func TestSummarizeGeneration(t *testing.T) {
 	if s := SummarizeGeneration(nil); s.Iterations != 0 || s.MeanNewActivated != 0 {
 		t.Errorf("empty trace summary = %+v", s)

@@ -2,16 +2,13 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 )
 
@@ -46,10 +43,6 @@ type CLI struct {
 	// runtime-metrics snapshot is written to the -ledger directory.
 	// Zero disables the watchdog; it requires -serve and -ledger.
 	Stall time.Duration
-	// ForceEnable turns the observability layer on even without -trace
-	// (counters accumulate; no trace sink). benchreport's -obs mode sets
-	// it so the run manifest's counter snapshot is populated.
-	ForceEnable bool
 	// ServedAddr is the telemetry server's resolved listen address after
 	// Start when -serve was given (":0" resolves to an ephemeral port).
 	ServedAddr string
@@ -138,7 +131,7 @@ func (c *CLI) Level() LogLevel {
 }
 
 // Start validates the flags, builds the shared logger on stderr, and —
-// when -trace, -serve or ForceEnable ask for it — enables the
+// when -trace, -serve, -ledger or -profile-dir ask for it — enables the
 // observability layer: -trace adds a JSONL sink plus an in-memory
 // recorder for the final tree summary, -serve starts the telemetry
 // server (requires internal/obs/telemetry to be linked in) and registers
@@ -192,7 +185,7 @@ func (c *CLI) Start(stderr io.Writer) (*Logger, func() error, error) {
 		}
 		traceFile, jsonl, rec = f, NewJSONLSink(f), &Recorder{}
 	}
-	if c.Trace != "" || c.Serve != "" || c.Ledger != "" || c.ProfileDir != "" || c.ForceEnable {
+	if c.Trace != "" || c.Serve != "" || c.Ledger != "" || c.ProfileDir != "" {
 		if jsonl != nil {
 			SetSinks(jsonl, rec)
 		} else {
@@ -321,51 +314,4 @@ func (c *CLI) Start(stderr io.Writer) (*Logger, func() error, error) {
 		})
 	}
 	return log, stop, nil
-}
-
-// Manifest is the self-describing record benchreport's -obs mode writes
-// next to the BENCH_*.json artifacts: enough provenance (git revision,
-// configuration, counter values) to interpret a perf number months
-// later. Schema documented in DESIGN.md §6.
-type Manifest struct {
-	// GitRev is the current HEAD commit, or "unknown" outside a git
-	// checkout.
-	GitRev string `json:"git_rev"`
-	// Time is the manifest creation time (RFC 3339).
-	Time string `json:"time"`
-	// GoVersion is the toolchain that built/ran the binary.
-	GoVersion string `json:"go_version"`
-	// Config records the run configuration (flag values).
-	Config map[string]string `json:"config"`
-	// Counters is the observability counter snapshot at write time.
-	Counters map[string]int64 `json:"counters"`
-}
-
-// NewManifest assembles a manifest from the current process state.
-func NewManifest(config map[string]string) Manifest {
-	return Manifest{
-		GitRev:    gitRev(),
-		Time:      time.Now().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Config:    config,
-		Counters:  Snapshot(),
-	}
-}
-
-// WriteManifest writes the manifest as indented JSON to path.
-func WriteManifest(path string, m Manifest) error {
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// gitRev returns the repository HEAD, best effort.
-func gitRev() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
 }

@@ -159,27 +159,6 @@ func TestCLIStartQuietSuppressesSummary(t *testing.T) {
 	}
 }
 
-func TestCLIStartForceEnable(t *testing.T) {
-	c := CLI{ForceEnable: true, Quiet: true}
-	_, stop, err := c.Start(os.Stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !On() {
-		t.Fatal("ForceEnable did not enable the layer")
-	}
-	NewCounter("obs_test.force").Add(1)
-	if Snapshot()["obs_test.force"] != 1 {
-		t.Error("counter not live under ForceEnable")
-	}
-	if err := stop(); err != nil {
-		t.Fatal(err)
-	}
-	if On() {
-		t.Error("stop left the layer enabled")
-	}
-}
-
 func TestCLIStartBadTracePath(t *testing.T) {
 	c := CLI{Trace: filepath.Join(t.TempDir(), "missing-dir", "t.jsonl")}
 	if _, _, err := c.Start(os.Stderr); err == nil {
@@ -187,33 +166,5 @@ func TestCLIStartBadTracePath(t *testing.T) {
 	}
 	if On() {
 		t.Error("failed Start left the layer enabled")
-	}
-}
-
-func TestManifestRoundTrip(t *testing.T) {
-	ResetCounters()
-	t.Cleanup(ResetCounters)
-	NewCounter("obs_test.manifest").Add(4)
-	m := NewManifest(map[string]string{"scale": "tiny", "seed": "7"})
-	if m.GitRev == "" || m.Time == "" || m.GoVersion == "" {
-		t.Fatalf("incomplete manifest %+v", m)
-	}
-	if m.Counters["obs_test.manifest"] != 4 {
-		t.Fatalf("manifest counters = %v", m.Counters)
-	}
-	path := filepath.Join(t.TempDir(), "manifest.json")
-	if err := WriteManifest(path, m); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Manifest
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatalf("manifest is not valid JSON: %v\n%s", err, data)
-	}
-	if got.Config["scale"] != "tiny" || got.Counters["obs_test.manifest"] != 4 {
-		t.Fatalf("round-trip mismatch: %+v", got)
 	}
 }

@@ -37,7 +37,9 @@ func (ew *errWriter) println(args ...any) {
 }
 
 // Table writes an aligned text table with a title, header row and data
-// rows.
+// rows. The rule under the header is as wide as the rendered header row,
+// so a wider cell in the last column (a wall-clock time, say) leaves
+// every line but its own unchanged.
 func Table(w io.Writer, title string, headers []string, rows [][]string) error {
 	widths := make([]int, len(headers))
 	for i, h := range headers {
@@ -67,12 +69,9 @@ func Table(w io.Writer, title string, headers []string, rows [][]string) error {
 	if title != "" {
 		ew.printf("%s\n%s\n", title, strings.Repeat("=", len(title)))
 	}
-	ew.println(line(headers))
-	total := 0
-	for _, wd := range widths {
-		total += wd + 2
-	}
-	ew.println(strings.Repeat("-", total-2))
+	header := line(headers)
+	ew.println(header)
+	ew.println(strings.Repeat("-", len(header)))
 	for _, r := range rows {
 		ew.println(line(r))
 	}

@@ -43,6 +43,32 @@ func TestTableNoTitle(t *testing.T) {
 	}
 }
 
+// TestTableRuleFollowsHeader pins the rule line to the rendered header
+// row: two tables that differ only in the width of a last-column cell
+// (a wall-clock time) must differ only on that cell's line.
+func TestTableRuleFollowsHeader(t *testing.T) {
+	render := func(runtime string) []string {
+		var b strings.Builder
+		Table(&b, "Demo", []string{"metric", "value"}, [][]string{
+			{"detected", "1113"},
+			{"runtime", runtime},
+		})
+		return strings.Split(b.String(), "\n")
+	}
+	short, long := render("7.64s"), render("7.591234s")
+	if len(short) != len(long) {
+		t.Fatalf("line counts differ: %d vs %d", len(short), len(long))
+	}
+	for i := range short {
+		if short[i] != long[i] && !strings.HasPrefix(short[i], "runtime") {
+			t.Errorf("line %d differs: %q vs %q", i, short[i], long[i])
+		}
+	}
+	if rule := short[3]; rule != strings.Repeat("-", len(short[2])) {
+		t.Errorf("rule %q is not as wide as the header %q", rule, short[2])
+	}
+}
+
 func TestActivationGrid(t *testing.T) {
 	var b strings.Builder
 	ActivationGrid(&b, "layer1", []bool{true, false, true, true, false, false}, 3)

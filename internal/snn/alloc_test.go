@@ -57,9 +57,9 @@ func TestRunFromZeroAlloc(t *testing.T) {
 
 // TestReplayAndDivergenceZeroAlloc asserts the campaign hot paths —
 // golden-replay RunFrom from a mid-network start layer and the
-// early-exit DivergesFrom detector — are also allocation-free, including
-// across a Bind to a faulty clone and on the first pass after a further
-// fault is applied to it.
+// early-exit DivergesFrom detector — are also allocation-free on a faulty
+// clone's own scratch, including the first pass after a further fault is
+// applied to that clone.
 func TestReplayAndDivergenceZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, b := range []string{"nmnist", "ibm-gesture", "shd"} {
@@ -70,10 +70,7 @@ func TestReplayAndDivergenceZeroAlloc(t *testing.T) {
 		faulty := net.Clone()
 		start := len(net.Layers) / 2
 		faulty.Layers[start].SetNeuronMode(0, NeuronSaturated)
-		sc := net.NewScratch()
-		if err := sc.Bind(faulty); err != nil {
-			t.Fatalf("%s: bind: %v", b, err)
-		}
+		sc := faulty.NewScratch()
 		sc.RunFrom(start, golden, stim) // prewarm
 
 		if allocs := testing.AllocsPerRun(10, func() {
@@ -87,9 +84,10 @@ func TestReplayAndDivergenceZeroAlloc(t *testing.T) {
 			t.Errorf("%s: DivergesFrom allocated %v times per run; want 0", b, allocs)
 		}
 
-		// A further neuron fault applied after Bind grows the pass's list
-		// of overridden neurons; the very first pass over it must not
-		// allocate (AllocsPerRun would hide it behind its warm-up call).
+		// A further neuron fault applied to the scratch's network grows the
+		// pass's list of overridden neurons; the very first pass over it
+		// must not allocate (AllocsPerRun would hide it behind its warm-up
+		// call).
 		last := faulty.Layers[len(faulty.Layers)-1]
 		last.SetNeuronThreshold(last.NumNeurons()-1, 0.5)
 		if allocs := allocsOnce(func() { sc.DivergesFrom(start, golden, stim) }); allocs != 0 {

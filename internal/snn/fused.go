@@ -70,10 +70,10 @@ type layerKernel struct {
 	// capacity is the neuron count.
 	special []int32
 
-	// Weight data views, re-captured from the bound network at every pass
-	// entry: Scratch.Bind may re-point the scratch at a clone whose weight
-	// arrays differ, and fault injection lazily allocates override slices,
-	// so nothing weight- or fault-shaped is cached across passes.
+	// Weight data views, re-captured from the network at every pass
+	// entry: a pass must see the network as it is when the pass starts,
+	// and fault injection lends and reclaims override slices between
+	// passes, so nothing weight- or fault-shaped is cached across passes.
 	w, r []float64
 
 	// Window geometry (conv and pool): input [C, inH, inW], output

@@ -72,8 +72,9 @@ func (n *Network) RunGraphFused(inputSteps []*ag.Node) *GraphResult {
 
 func (n *Network) runGraph(inputSteps []*ag.Node, fused bool) *GraphResult {
 	if n.HasFaultOverrides() {
-		// Hot-path invariant: Generate and Train validate fault-freedom
-		// once at entry before their per-iteration RunGraph loops.
+		// Hot-path invariant: GenerateContext and Train validate
+		// fault-freedom once at entry before their per-iteration RunGraph
+		// loops.
 		failf("snn: RunGraph requires a fault-free network")
 	}
 	steps := len(inputSteps)

@@ -223,8 +223,9 @@ type Scratch struct {
 }
 
 // NewScratch allocates reusable simulation state for this network. The
-// scratch is tied to the network's geometry; use Bind to re-point it at a
-// geometry-identical clone (fault injectors simulate on clones).
+// scratch simulates this network as it is at each pass's entry, so faults
+// applied to it between passes take effect on the next pass (fault
+// injectors clone the golden network and build one scratch per clone).
 func (n *Network) NewScratch() *Scratch {
 	states := make([]*fastLayerState, len(n.Layers))
 	kernels := make([]*layerKernel, len(n.Layers))
@@ -263,66 +264,6 @@ func (n *Network) NewScratch() *Scratch {
 // to it; the reference path is kept as the differential baseline for the
 // equivalence/fuzz harness and the BenchmarkForwardFused speedup gate.
 func (s *Scratch) SetReference(on bool) { s.reference = on }
-
-// Bind re-points the scratch at net, which must be geometry-identical to
-// the network the scratch was built for (layer kinds, shapes, synapse
-// counts, conv/pool window parameters). Fault injectors bind one scratch
-// to each faulty clone instead of re-allocating; binding an incompatible
-// network is an error rather than a silent read of stale-shaped buffers.
-func (s *Scratch) Bind(net *Network) error {
-	if err := compatibleGeometry(s.net, net); err != nil {
-		return err
-	}
-	s.net = net
-	return nil
-}
-
-// compatibleGeometry reports whether a scratch built for network a can
-// simulate network b without resizing any buffer.
-func compatibleGeometry(a, b *Network) error {
-	if len(a.Layers) != len(b.Layers) {
-		return fmt.Errorf("snn: scratch bind: %d layers vs %d", len(a.Layers), len(b.Layers))
-	}
-	if !intsEq(a.InShape, b.InShape) {
-		return fmt.Errorf("snn: scratch bind: input shape %v vs %v", a.InShape, b.InShape)
-	}
-	for i := range a.Layers {
-		pa, pb := a.Layers[i].Proj, b.Layers[i].Proj
-		if pa.Kind() != pb.Kind() ||
-			!intsEq(pa.InShape(), pb.InShape()) ||
-			!intsEq(pa.OutShape(), pb.OutShape()) ||
-			pa.NumSynapses() != pb.NumSynapses() {
-			return fmt.Errorf("snn: scratch bind: layer %d %s %v→%v incompatible with %s %v→%v",
-				i, pa.Kind(), pa.InShape(), pa.OutShape(), pb.Kind(), pb.InShape(), pb.OutShape())
-		}
-		switch ca := pa.(type) {
-		case *ConvProj:
-			cb := pb.(*ConvProj)
-			if !intsEq(ca.K.Shape(), cb.K.Shape()) || ca.Spec != cb.Spec {
-				return fmt.Errorf("snn: scratch bind: layer %d conv kernel %v %+v vs %v %+v",
-					i, ca.K.Shape(), ca.Spec, cb.K.Shape(), cb.Spec)
-			}
-		case *PoolProj:
-			kb := pb.(*PoolProj)
-			if ca.KSize != kb.KSize {
-				return fmt.Errorf("snn: scratch bind: layer %d pool window %d vs %d", i, ca.KSize, kb.KSize)
-			}
-		}
-	}
-	return nil
-}
-
-func intsEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // runFrom is the single simulation loop behind Run, RunFrom and
 // DivergesFrom. It simulates layers [start, L) over the stimulus: layer
@@ -645,17 +586,9 @@ func (n *Network) Run(input *tensor.Tensor) *Record {
 // layer start-1 spike trains as layer start's input (the stimulus when
 // start == 0). It is exact whenever the network differs from the golden
 // network only at layers ≥ start — the incremental fault-simulation fast
-// path. Layers < start of the returned record alias the golden record and
-// must be treated as read-only.
-func (n *Network) RunFrom(start int, golden *Record, stimulus *tensor.Tensor) *Record {
-	rec, _, _ := n.NewScratch().runFrom(start, golden, stimulus, false)
-	return rec
-}
-
-// RunFrom is the scratch-reusing variant of Network.RunFrom; it also
-// reports the number of simulated layer-steps. The returned record's
-// layers ≥ start are owned by the scratch and overwritten by the next
-// call; layers < start alias golden.
+// path. It also reports the number of simulated layer-steps. The returned
+// record's layers ≥ start are owned by the scratch and overwritten by the
+// next call; layers < start alias golden and must be treated as read-only.
 func (s *Scratch) RunFrom(start int, golden *Record, stimulus *tensor.Tensor) (*Record, int) {
 	rec, layerSteps, _ := s.runFrom(start, golden, stimulus, false)
 	return rec, layerSteps

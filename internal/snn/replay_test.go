@@ -68,15 +68,12 @@ func TestEquivRunFromZeroMatchesRun(t *testing.T) {
 	for name, net := range fixtureNets(t) {
 		stim := fixtureStim(net, 10, 52)
 		golden := net.Run(stim)
-		if !recordsEqual(golden, net.RunFrom(0, golden, stim)) {
-			t.Errorf("%s: RunFrom(0) differs from Run", name)
-		}
-		// Scratch-reusing variant, repeated to catch stale state.
+		// Repeated on one scratch to catch stale state.
 		sc := net.NewScratch()
 		for rep := 0; rep < 2; rep++ {
 			rec, steps := sc.RunFrom(0, golden, stim)
 			if !recordsEqual(golden, rec) {
-				t.Errorf("%s: Scratch.RunFrom(0) differs from Run (rep %d)", name, rep)
+				t.Errorf("%s: RunFrom(0) differs from Run (rep %d)", name, rep)
 			}
 			if want := len(net.Layers) * golden.Steps; steps != want {
 				t.Errorf("%s: layer-steps = %d, want %d", name, steps, want)
@@ -99,7 +96,7 @@ func TestEquivRunFromReplayMatchesFullRun(t *testing.T) {
 			// saturate a neuron (works for weightless pool layers too).
 			faulty.Layers[s].SetNeuronMode(0, NeuronSaturated)
 			full := faulty.Run(stim)
-			inc := faulty.RunFrom(s, golden, stim)
+			inc, _ := faulty.NewScratch().RunFrom(s, golden, stim)
 			for li := s; li < len(net.Layers); li++ {
 				if !tensor.Equal(full.Layers[li], inc.Layers[li], 0) {
 					t.Errorf("%s: start %d: layer %d differs between full Run and RunFrom", name, s, li)
@@ -192,14 +189,15 @@ func TestRunFromValidation(t *testing.T) {
 	net := must(BuildSHD(rand.New(rand.NewSource(43)), ScaleTiny))
 	stim := fixtureStim(net, 6, 70)
 	golden := net.Run(stim)
+	sc := net.NewScratch()
 	for _, tc := range []struct {
 		name string
 		call func()
 	}{
-		{"start out of range", func() { net.RunFrom(len(net.Layers), golden, stim) }},
-		{"negative start", func() { net.RunFrom(-1, golden, stim) }},
-		{"nil golden", func() { net.RunFrom(1, nil, stim) }},
-		{"step mismatch", func() { net.RunFrom(1, golden, fixtureStim(net, 7, 71)) }},
+		{"start out of range", func() { sc.RunFrom(len(net.Layers), golden, stim) }},
+		{"negative start", func() { sc.RunFrom(-1, golden, stim) }},
+		{"nil golden", func() { sc.RunFrom(1, nil, stim) }},
+		{"step mismatch", func() { sc.RunFrom(1, golden, fixtureStim(net, 7, 71)) }},
 	} {
 		func() {
 			defer func() {

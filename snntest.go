@@ -17,13 +17,18 @@
 //   - internal/train     Adam, schedules, BPTT training
 //   - internal/experiments  end-to-end pipelines for every table & figure
 //
+// The pipeline has one function per job: GenerateTest (Fig. 2, chunks
+// joined by Eq. 7), CompactTest, SimulateFaults (the verification
+// campaign) and ClassifyFaults (criticality labelling).
+//
 // Quick start:
 //
+//	ctx := context.Background()
 //	rng := rand.New(rand.NewSource(1))
 //	net, err := snntest.BuildNMNIST(rng, snntest.ScaleTiny)
-//	res, err := snntest.GenerateTest(net, snntest.TestGenConfig())
+//	res, err := snntest.GenerateTest(ctx, net, snntest.TestGenConfig())
 //	faults := snntest.EnumerateFaults(net)
-//	sim, err := snntest.SimulateFaults(net, faults, res.Stimulus, 0)
+//	sim, err := snntest.SimulateFaults(net, faults, res.Stimulus, snntest.CampaignOptions{})
 //	fmt.Printf("fault coverage: %.1f%%\n",
 //		100*float64(sim.NumDetected())/float64(len(faults)))
 package snntest
@@ -86,12 +91,9 @@ func DefaultGenConfig() GenConfig { return core.DefaultConfig() }
 func TestGenConfig() GenConfig { return core.TestConfig() }
 
 // GenerateTest runs the paper's test-generation algorithm on a fault-free
-// network.
-func GenerateTest(net *Network, cfg GenConfig) (*TestResult, error) { return core.Generate(net, cfg) }
-
-// GenerateTestContext is GenerateTest with caller-controlled cancellation;
-// the context also parents the run's observability spans (internal/obs).
-func GenerateTestContext(ctx context.Context, net *Network, cfg GenConfig) (*TestResult, error) {
+// network. ctx cancels generation gracefully (the partial result is
+// returned) and parents the run's observability spans (internal/obs).
+func GenerateTest(ctx context.Context, net *Network, cfg GenConfig) (*TestResult, error) {
 	return core.GenerateContext(ctx, net, cfg)
 }
 
@@ -105,29 +107,19 @@ func EnumerateFaults(net *Network) []Fault { return fault.Enumerate(net, fault.D
 type CampaignOptions = fault.CampaignOptions
 
 // SimulateFaults runs a fault-simulation campaign of the given faults
-// against a test stimulus; workers ≤ 0 uses GOMAXPROCS. The campaign is
-// incremental: each faulty run replays the golden spike trace up to the
-// fault's layer, re-simulates only the layers above it, and stops at the
-// first output divergence; the result's LayerSteps/FullLayerSteps
+// against a test stimulus; opts.Workers ≤ 0 uses GOMAXPROCS. The campaign
+// is incremental: each faulty run replays the golden spike trace up to
+// the fault's layer, re-simulates only the layers above it, and stops at
+// the first output divergence; the result's LayerSteps/FullLayerSteps
 // counters report the work saved.
-func SimulateFaults(net *Network, faults []Fault, stimulus *Tensor, workers int) (*fault.SimResult, error) {
-	return fault.Simulate(net, faults, stimulus, workers, nil)
-}
-
-// SimulateFaultsWith is SimulateFaults with explicit campaign options.
-func SimulateFaultsWith(net *Network, faults []Fault, stimulus *Tensor, opts CampaignOptions) (*fault.SimResult, error) {
+func SimulateFaults(net *Network, faults []Fault, stimulus *Tensor, opts CampaignOptions) (*fault.SimResult, error) {
 	return fault.SimulateWith(net, faults, stimulus, opts)
 }
 
 // ClassifyFaults labels faults critical (top-1 flip on ≥ 1 sample) or
-// benign against the evaluation stimuli.
-func ClassifyFaults(net *Network, faults []Fault, samples []*Tensor, workers int) ([]bool, error) {
-	return fault.Classify(net, faults, samples, workers, nil)
-}
-
-// ClassifyFaultsWith is ClassifyFaults with explicit campaign options;
-// the returned result carries the simulated-layer-step counters.
-func ClassifyFaultsWith(net *Network, faults []Fault, samples []*Tensor, opts CampaignOptions) (*fault.ClassifyResult, error) {
+// benign against the evaluation stimuli; the result's Critical flags
+// carry the labels and its counters the simulated layer-steps.
+func ClassifyFaults(net *Network, faults []Fault, samples []*Tensor, opts CampaignOptions) (*fault.ClassifyResult, error) {
 	return fault.ClassifyWith(net, faults, samples, opts)
 }
 
@@ -137,15 +129,12 @@ func FaultCoverage(faults []Fault, detected, critical []bool) (fault.Coverage, e
 	return fault.Compute(faults, detected, critical)
 }
 
-// CompactTest drops generated chunks whose fault detections are covered
-// by the remaining chunks, preserving coverage of the given fault list
-// while shortening the test (the paper's future-work direction).
-func CompactTest(net *Network, res *TestResult, faults []Fault, workers int) (*TestResult, core.CompactionStats, error) {
-	return core.Compact(net, res, faults, workers)
-}
-
-// CompactTestContext is CompactTest with a caller context that parents
-// the compaction's observability spans.
-func CompactTestContext(ctx context.Context, net *Network, res *TestResult, faults []Fault, workers int) (*TestResult, core.CompactionStats, error) {
+// CompactTest drops generated chunks whose fault detections, each chunk
+// simulated in isolation, are covered by the remaining chunks, shortening
+// the test (the paper's future-work direction). The stats' Detected count
+// is the union of the kept chunks' isolated campaigns, not a campaign of
+// the compacted test (see core.CompactionStats). ctx parents the
+// compaction's observability spans.
+func CompactTest(ctx context.Context, net *Network, res *TestResult, faults []Fault, workers int) (*TestResult, core.CompactionStats, error) {
 	return core.CompactContext(ctx, net, res, faults, workers)
 }

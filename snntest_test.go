@@ -1,6 +1,7 @@
 package snntest
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -18,7 +19,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	cfg.Seed = 2
 	cfg.Steps1 = 30
 	cfg.MaxIterations = 3
-	res := must(GenerateTest(net, cfg))
+	res := must(GenerateTest(context.Background(), net, cfg))
 	if res.TotalSteps() < 1 {
 		t.Fatal("no stimulus")
 	}
@@ -32,14 +33,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	for i := 0; i < len(universe); i += 11 {
 		faults = append(faults, universe[i])
 	}
-	sim := must(SimulateFaults(net, faults, res.Stimulus, 0))
+	sim := must(SimulateFaults(net, faults, res.Stimulus, CampaignOptions{}))
 	if sim.NumDetected() == 0 {
 		t.Error("optimized stimulus detected nothing")
 	}
 
 	// Classify against two random stimuli acting as dataset samples.
 	samples := []*Tensor{res.Stimulus}
-	critical := must(ClassifyFaults(net, faults, samples, 0))
+	critical := must(ClassifyFaults(net, faults, samples, CampaignOptions{})).Critical
 	cov := must(FaultCoverage(faults, sim.Detected, critical))
 	if cov.TotalFaults != len(faults) {
 		t.Error("coverage partition mismatch")
