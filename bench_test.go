@@ -16,6 +16,7 @@ package snntest
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"sync"
@@ -376,29 +377,141 @@ func BenchmarkForwardFused(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardGraphBPTT times one optimization step of the
-// generator on the tiny NMNIST net: one forward graph over a 50-step
-// input plus one L1 backward through it.
+// BenchmarkForwardGraphBPTT compares the generator's unit of work — one
+// differentiable forward pass plus the L1+L2 backward through it, the
+// autograd probe of bench/ — on RunGraphFused's BPTT kernel against the
+// composed RunGraph tape on every fixture network, over a 64-step
+// Bernoulli input. Kernel inputs are leaves adopted into an arena, reset
+// before every pass as the generation engine does; the tape's are heap
+// leaves. It fails unless the kernel is ≥ 1.4× faster per fixture, its
+// input gradients match the tape's in math.Float64bits, and its forward
+// plus backward allocates nothing after warm-up (testing.AllocsPerRun,
+// backpropagating an allocation-free root that seeds every spike's
+// cotangent). It reports each fixture's µs/step and speedup.
 func BenchmarkForwardGraphBPTT(b *testing.B) {
+	const steps = 64
 	rng := rand.New(rand.NewSource(2))
-	net := must(snn.BuildNMNIST(rng, snn.ScaleTiny))
-	stim := tensor.RandBernoulli(rng, 0.3, append([]int{50}, net.InShape...)...)
-	in := make([]*autograd.Node, stim.Dim(0))
-	frame := net.InputLen()
-	for t := range in {
-		x := tensor.New(net.InShape...)
-		copy(x.Data(), stim.RawRange(t*frame, frame))
-		in[t] = autograd.Leaf(x)
+	type fixture struct {
+		name        string
+		kernel, ref *snn.Network
+		arena       *tensor.Arena
+		kIn, rIn    []*autograd.Node
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	leaves := func(stim *tensor.Tensor, shape []int) []*autograd.Node {
+		in := make([]*autograd.Node, stim.Dim(0))
+		frame := stim.Len() / len(in)
+		for t := range in {
+			x := tensor.New(shape...)
+			copy(x.Data(), stim.RawRange(t*frame, frame))
+			in[t] = autograd.Leaf(x)
+		}
+		return in
+	}
+	fixtures := make([]fixture, 0, len(experiments.Benchmarks))
+	for _, name := range experiments.Benchmarks {
+		net := must(snn.Build(name, rng, snn.ScaleTiny))
+		stim := tensor.RandBernoulli(rng, 0.3, append([]int{steps}, net.InShape...)...)
+		fx := fixture{name: name, kernel: net.Clone(), ref: net.Clone(), arena: tensor.NewArena()}
+		fx.kIn, fx.rIn = leaves(stim, net.InShape), leaves(stim, net.InShape)
+		for _, x := range fx.kIn {
+			fx.arena.Adopt(x.Value)
+		}
+		fixtures = append(fixtures, fx)
+	}
+	step := func(net *snn.Network, ar *tensor.Arena, in []*autograd.Node, graph func([]*autograd.Node) *snn.GraphResult) {
+		if ar != nil {
+			ar.Reset()
+		}
 		for _, x := range in {
 			x.ZeroGrad()
 		}
-		if err := autograd.Backward(core.L1(net.RunGraphFused(in))); err != nil {
+		res := graph(in)
+		if err := autograd.Backward(autograd.Add(core.L1(res), core.L2(res, core.FullMask(net)))); err != nil {
 			b.Fatal(err)
 		}
 	}
+	kernelStep := func(fx fixture) { step(fx.kernel, fx.arena, fx.kIn, fx.kernel.RunGraphFused) }
+	refStep := func(fx fixture) { step(fx.ref, nil, fx.rIn, fx.ref.RunGraph) }
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, fx := range fixtures {
+			kernelStep(fx)
+		}
+	}
+	b.StopTimer()
+
+	for _, fx := range fixtures {
+		kernelStep(fx)
+		refStep(fx)
+		for t := range fx.rIn {
+			got, want := fx.kIn[t].Grad.Data(), fx.rIn[t].Grad.Data()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					b.Fatalf("%s: kernel input gradient at t=%d[%d] = %v, tape %v", fx.name, t, i, got[i], want[i])
+				}
+			}
+		}
+		seed := newCotangentRoot(steps * len(fx.kernel.Layers))
+		if allocs := testing.AllocsPerRun(10, func() {
+			fx.arena.Reset()
+			if err := autograd.Backward(seed.bind(fx.kernel.RunGraphFused(fx.kIn))); err != nil {
+				b.Fatal(err)
+			}
+		}); allocs != 0 {
+			b.Fatalf("%s: kernel forward + backward allocates (%.1f allocs/run), want 0", fx.name, allocs)
+		}
+		// Best of up to three interleaved windows, as in
+		// BenchmarkForwardFused.
+		var tKernel, tRef time.Duration
+		speedup := 0.0
+		for w := 0; w < 3 && speedup < 1.5; w++ {
+			tK, tR, _ := interleavedPair(300*time.Millisecond, func() { kernelStep(fx) }, func() { refStep(fx) })
+			if s := float64(tR) / float64(tK); s > speedup {
+				tKernel, tRef, speedup = tK, tR, s
+			}
+		}
+		if speedup < 1.4 {
+			b.Fatalf("%s: BPTT kernel speedup %.2fx, want >= 1.4x (kernel %v, tape %v)", fx.name, speedup, tKernel, tRef)
+		}
+		b.ReportMetric(float64(tKernel.Nanoseconds())/1e3, fx.name+"-kernel-us/step")
+		b.ReportMetric(float64(tRef.Nanoseconds())/1e3, fx.name+"-tape-us/step")
+		b.ReportMetric(speedup, fx.name+"-speedup-x")
+	}
+}
+
+// cotangentRoot is an allocation-free scalar Backward root over every
+// spike node of a graph result: an autograd.MultiOp whose backward adds 1
+// to every spike's cotangent. It lets an allocation gate time a graph's
+// own forward and backward without a loss graph's per-op allocations.
+type cotangentRoot struct {
+	op        *autograd.MultiOp
+	spikes    []*autograd.Node
+	val, grad *tensor.Tensor
+}
+
+// newCotangentRoot returns a root for results of at most n spike nodes.
+func newCotangentRoot(n int) *cotangentRoot {
+	c := &cotangentRoot{spikes: make([]*autograd.Node, 0, n), val: tensor.Scalar(0), grad: tensor.Scalar(0)}
+	c.op = autograd.NewMultiOp(func() {
+		for _, s := range c.spikes {
+			g := s.Grad.Data()
+			for i := range g {
+				g[i]++
+			}
+		}
+	})
+	return c
+}
+
+// bind makes the root depend on every spike node of res and returns it.
+func (c *cotangentRoot) bind(res *snn.GraphResult) *autograd.Node {
+	c.spikes = c.spikes[:0]
+	for _, layer := range res.Spikes {
+		c.spikes = append(c.spikes, layer...)
+	}
+	c.op.Bind(c.spikes, 1)
+	return c.op.Output(0, c.val, c.grad)
 }
 
 // BenchmarkGenerateRestarts times the multi-restart generation engine

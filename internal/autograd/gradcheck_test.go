@@ -79,16 +79,8 @@ func gradCases() []gradCase {
 
 	spikeIn := awayFromZero(rng, 8) // |u−θ| ≥ 0.2 with θ=0 below
 
-	// Fused LIF kernel operands: a mixed refractory gate plus fixed
-	// membrane/one-minus/current tensors for the per-operand variants.
-	lifU := tensor.RandNormal(rng, 0, 1, 8)
-	lifOM := tensor.RandNormal(rng, 0.5, 0.3, 8)
-	lifCur := tensor.RandNormal(rng, 0, 1, 8)
-	lifGate := tensor.New(8)
-	for i := range lifGate.Data() {
-		lifGate.Data()[i] = float64(1 - i%2)
-	}
-	const lifLeak = 0.9
+	// A three-output MultiOp (fanOut) reached in the order o2, o0, o1.
+	fanC := []*tensor.Tensor{tensor.RandNormal(rng, 0, 1, 8), tensor.RandNormal(rng, 0, 1, 8), tensor.RandNormal(rng, 0, 1, 8)}
 
 	return []gradCase{
 		{op: "Add", x: x8, build: func(a *Node) *Node { return wsum(Add(a, Square(a)), w8) }},
@@ -114,23 +106,9 @@ func gradCases() []gradCase {
 		{op: "MaskedRowVariance", x: mrvX, build: func(a *Node) *Node { return wsum(MaskedRowVariance(mrvW, a), w4) }},
 		{op: "SoftmaxCrossEntropy", x: tensor.RandNormal(rng, 0, 1, 5), build: func(a *Node) *Node { return SoftmaxCrossEntropy(a, 2) }},
 		{op: "GumbelSigmoid", x: x8, build: func(a *Node) *Node { return wsum(GumbelSigmoid(a, noise, 0.7), w8) }},
-		{op: "OneMinusSpike", x: x8, build: func(a *Node) *Node { return wsum(OneMinusSpike(a), w8) }},
-		{op: "LIFStep", variant: "u", x: x8, build: func(a *Node) *Node {
-			return wsum(LIFStep(a, Leaf(lifOM.Clone()), Leaf(lifCur.Clone()), lifGate, lifLeak), w8)
-		}},
-		{op: "LIFStep", variant: "oneMinus", x: x8, build: func(a *Node) *Node {
-			return wsum(LIFStep(Leaf(lifU.Clone()), a, Leaf(lifCur.Clone()), lifGate, lifLeak), w8)
-		}},
-		{op: "LIFStep", variant: "cur", x: x8, build: func(a *Node) *Node {
-			return wsum(LIFStep(Leaf(lifU.Clone()), Leaf(lifOM.Clone()), a, lifGate, lifLeak), w8)
-		}},
-		{op: "LIFStep", variant: "nil-gate", x: x8, build: func(a *Node) *Node {
-			return wsum(LIFStep(a, Leaf(lifOM.Clone()), Leaf(lifCur.Clone()), nil, lifLeak), w8)
-		}},
-		{op: "LIFStep", variant: "const-parents", x: x8, build: func(a *Node) *Node {
-			// Gradient flows through cur only; u and oneMinus are constants,
-			// exercising the requiresGrad guards on the fused backward.
-			return wsum(LIFStep(Const(lifU), Const(lifOM), a, lifGate, lifLeak), w8)
+		{op: "NewMultiOp", x: x8, build: func(a *Node) *Node {
+			o := fanOut(a, fanC)
+			return AddN(wsum(o[2], w8), wsum(Mul(o[0], o[1]), w8))
 		}},
 		{
 			// STE's forward is Heaviside; its backward is defined as the
@@ -203,9 +181,9 @@ func TestGradCheckAllOps(t *testing.T) {
 }
 
 // TestGradCheckCoversAllOps audits the package source: every exported
-// op constructor (function returning *Node, excluding the Leaf/Const
-// graph-input constructors) must appear in gradCases, so a newly added op
-// cannot ship without a gradient check.
+// op constructor (function returning *Node or *MultiOp, excluding the
+// Leaf/Const graph-input constructors) must appear in gradCases, so a
+// newly added op cannot ship without a gradient check.
 func TestGradCheckCoversAllOps(t *testing.T) {
 	covered := map[string]bool{}
 	for _, c := range gradCases() {
@@ -225,7 +203,7 @@ func TestGradCheckCoversAllOps(t *testing.T) {
 			}
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Recv != nil || !fd.Name.IsExported() || !returnsNodePtr(fd) {
+				if !ok || fd.Recv != nil || !fd.Name.IsExported() || !returnsOp(fd) {
 					continue
 				}
 				if inputCtors[fd.Name.Name] {
@@ -239,14 +217,14 @@ func TestGradCheckCoversAllOps(t *testing.T) {
 	}
 }
 
-// returnsNodePtr reports whether fd's results include *Node.
-func returnsNodePtr(fd *ast.FuncDecl) bool {
+// returnsOp reports whether fd's results include *Node or *MultiOp.
+func returnsOp(fd *ast.FuncDecl) bool {
 	if fd.Type.Results == nil {
 		return false
 	}
 	for _, r := range fd.Type.Results.List {
 		if star, ok := r.Type.(*ast.StarExpr); ok {
-			if id, ok := star.X.(*ast.Ident); ok && id.Name == "Node" {
+			if id, ok := star.X.(*ast.Ident); ok && (id.Name == "Node" || id.Name == "MultiOp") {
 				return true
 			}
 		}

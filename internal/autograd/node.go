@@ -52,6 +52,9 @@ type Node struct {
 	// follows the package's goroutine contract: a node appears in one
 	// goroutine's graph at a time.
 	visit uint64
+	// rank is the node's index in the topological order of the topoSort
+	// that last reached it (see MultiOp.Reached).
+	rank int
 }
 
 // Leaf wraps t as a differentiable graph input. Backward accumulates into
@@ -172,19 +175,31 @@ func Backward(root *Node) error {
 	if !root.requiresGrad {
 		return nil // nothing reachable requires gradients
 	}
-	order := topoSort(root)
+	buf := sortBufs.Get().(*sortBuf)
+	order := buf.topoSort(root)
 	root.Grad.Fill(1)
 	for i := len(order) - 1; i >= 0; i-- {
 		if n := order[i]; n.backward != nil {
 			n.backward(n)
 		}
 	}
-	sortBufs.Put(&sortBuf{order: order[:0]})
+	sortBufs.Put(buf)
 	return nil
 }
 
-// sortBuf recycles one Backward's traversal slice across calls.
-type sortBuf struct{ order []*Node }
+// sortBuf recycles one Backward's traversal slices across calls, so a
+// Backward whose ops allocate nothing allocates nothing either.
+type sortBuf struct {
+	order []*Node
+	stack []sortFrame
+}
+
+// sortFrame is one node on the topoSort stack, with the index of its next
+// parent to visit.
+type sortFrame struct {
+	n    *Node
+	next int
+}
 
 var sortBufs = sync.Pool{New: func() any { return new(sortBuf) }}
 
@@ -195,17 +210,15 @@ var sortBufs = sync.Pool{New: func() any { return new(sortBuf) }}
 var topoEpoch atomic.Uint64
 
 // topoSort returns nodes reachable from root in topological order
-// (parents before children). Iterative DFS to survive deep BPTT graphs;
-// the visited set is the epoch counter, so the sort allocates no map.
-func topoSort(root *Node) []*Node {
-	type frame struct {
-		n    *Node
-		next int
-	}
+// (parents before children), recording each node's index in it as its
+// rank. Iterative DFS to survive deep BPTT graphs; the visited set is the
+// epoch counter, so the sort allocates no map, and the order and stack
+// slices are the buffer's, reused across calls.
+func (b *sortBuf) topoSort(root *Node) []*Node {
 	epoch := topoEpoch.Add(1)
 	root.visit = epoch
-	order := sortBufs.Get().(*sortBuf).order
-	stack := []frame{{n: root}}
+	order := b.order[:0]
+	stack := append(b.stack[:0], sortFrame{n: root})
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
 		if top.next < len(top.n.parents) {
@@ -213,12 +226,14 @@ func topoSort(root *Node) []*Node {
 			top.next++
 			if p != nil && p.requiresGrad && p.visit != epoch {
 				p.visit = epoch
-				stack = append(stack, frame{n: p})
+				stack = append(stack, sortFrame{n: p})
 			}
 			continue
 		}
+		top.n.rank = len(order)
 		order = append(order, top.n)
 		stack = stack[:len(stack)-1]
 	}
+	b.order, b.stack = order, stack
 	return order
 }

@@ -89,7 +89,7 @@ func (r *Result) DurationSamples(sampleSteps int) float64 {
 // only on the seed, never on the worker count).
 func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result, error) {
 	if net.HasFaultOverrides() {
-		return nil, fmt.Errorf("core: Generate requires a fault-free network, but %q carries fault overrides", net.Name)
+		return nil, fmt.Errorf("core: GenerateContext requires a fault-free network, but %q carries fault overrides", net.Name)
 	}
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(ctx, cfg.TimeLimit)
@@ -306,18 +306,21 @@ func Assemble(net *snn.Network, chunks []*tensor.Tensor) *tensor.Tensor {
 type calibCandidate struct {
 	minL1   float64
 	success bool // the optimized input made every output neuron fire
+	steps   int  // optimizer steps run
 }
 
 // calibrateCandidate optimizes min L1 alone for the candidate duration t
 // over the given step budget and reports whether full output firing was
-// reached, plus the lowest L1 visited. Forward divergence and backward
-// errors propagate like every other optimization path.
-func calibrateCandidate(net *snn.Network, cfg *Config, rng *rand.Rand, t, budget int) (calibCandidate, error) {
+// reached, plus the lowest L1 visited. It returns early, unsuccessful, at
+// the first optimizer step where stop reports true. Forward divergence
+// and backward errors propagate like every other optimization path.
+func calibrateCandidate(net *snn.Network, cfg *Config, rng *rand.Rand, t, budget int, stop func() bool) (calibCandidate, error) {
 	opt := newChunkOptimizer(net, cfg, rng, t)
 	lrSched := cfg.lrSchedule(budget)
 	tauSched := cfg.tauSchedule(budget)
 	c := calibCandidate{minL1: math.Inf(1)}
-	for s := 0; s < budget; s++ {
+	for s := 0; s < budget && !stop(); s++ {
+		c.steps++
 		res, _, err := opt.forward(tauSched.At(s))
 		if err != nil {
 			return c, err

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,6 +71,17 @@ func TestCalibrateTInMinReachesAllOutputs(t *testing.T) {
 	// The calibrated duration must not be absurd for a 2-layer net.
 	if tmin > 64 {
 		t.Errorf("T_in,min = %d, implausibly large", tmin)
+	}
+}
+
+// TestGenerateContextRejectsFaultyNetwork pins the fault-free
+// precondition's error to the exported function that checks it.
+func TestGenerateContextRejectsFaultyNetwork(t *testing.T) {
+	net := smallNet(4)
+	net.Layers[0].SetNeuronMode(0, snn.NeuronDead)
+	_, err := GenerateContext(context.Background(), net, TestConfig())
+	if want := "core: GenerateContext requires a fault-free network"; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("GenerateContext error %v, want prefix %q", err, want)
 	}
 }
 

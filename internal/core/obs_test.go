@@ -190,3 +190,42 @@ func TestObsCompactSpanNestsCampaigns(t *testing.T) {
 		}
 	}
 }
+
+// TestObsCalibrateLongestFirst pins the multi-worker calibration order on
+// a network whose calibration succeeds: the same T_in,min at 1, 2 and 4
+// workers, and every candidate above it that a pool started returned
+// before its step budget ran out, by succeeding itself or by stopping once
+// a shorter duration was known to succeed.
+func TestObsCalibrateLongestFirst(t *testing.T) {
+	rec := withObsRecorder(t)
+	net := smallNet(4)
+	cfg := TestConfig()
+	budget := calibrationBudget(&cfg)
+	want := 0
+	for _, workers := range []int{1, 2, 4} {
+		rec.Reset()
+		cfg.Parallel.Workers = workers
+		got := must(CalibrateTInMinParallel(context.Background(), net, &cfg, 5))
+		if workers == 1 {
+			want = got
+		} else if got != want {
+			t.Fatalf("Workers=%d T_in,min = %d, Workers=1 gave %d", workers, got, want)
+		}
+		above := 0
+		for _, c := range rec.SpansNamed("generate/calibrate/candidate") {
+			d, _ := c.Attrs["duration"].(int)
+			steps, _ := c.Attrs["steps"].(int)
+			success, _ := c.Attrs["success"].(bool)
+			if d <= want {
+				continue
+			}
+			above++
+			if !success && steps >= budget {
+				t.Errorf("Workers=%d: candidate %d above T_in,min = %d ran its whole %d-step budget", workers, d, want, budget)
+			}
+		}
+		if workers > 1 && above == 0 {
+			t.Errorf("Workers=%d started no candidate above T_in,min = %d: the pool did not claim the longest first", workers, want)
+		}
+	}
+}

@@ -104,10 +104,15 @@ func runRestarts(ctx context.Context, net *snn.Network, cfg *Config, iterSeed in
 // ties) is returned, leaving the rest to the full stage-1 optimization
 // with its larger budget.
 //
-// Candidates above the lowest one known to succeed are skipped, since
-// they can no longer be selected. The pool claims indices in increasing
-// order, so every candidate below the first success is still evaluated
-// and the outcome depends only on calibSeed, never on the worker count.
+// Candidates above the lowest one known to succeed can no longer be
+// selected: they are skipped, and one already running returns at its
+// next optimizer step. Every candidate below the first success is
+// still evaluated in full, so the outcome depends only on calibSeed,
+// never on the worker count or the claim order. A pool of several
+// workers claims the longest candidates first: candidate cost grows with
+// the duration, and starting the 512-step candidate last left it running
+// alone after every shorter one had finished. A single worker claims the
+// shortest first, which skips every candidate above the first success.
 func CalibrateTInMinParallel(ctx context.Context, net *snn.Network, cfg *Config, calibSeed int64) (int, error) {
 	budget := calibrationBudget(cfg)
 	n := 0
@@ -122,14 +127,21 @@ func CalibrateTInMinParallel(ctx context.Context, net *snn.Network, cfg *Config,
 	slots := make([]slot, n)
 	var firstSuccess atomic.Int64
 	firstSuccess.Store(int64(n))
-	pool.Run(cfg.Parallel.Workers, n, func(i int) {
-		if ctx.Err() != nil || int64(i) > firstSuccess.Load() {
+	workers := pool.Size(cfg.Parallel.Workers, n)
+	pool.Run(workers, n, func(i int) {
+		if workers > 1 {
+			i = n - 1 - i
+		}
+		above := func() bool { return int64(i) > firstSuccess.Load() }
+		if ctx.Err() != nil || above() {
 			return
 		}
 		_, csp := obs.Start(ctx, "generate/calibrate/candidate")
 		csp.SetAttr("duration", 1<<i)
 		rng := rand.New(rand.NewSource(calibSeed + int64(i)))
-		cand, err := calibrateCandidate(net.Clone(), cfg, rng, 1<<i, budget)
+		cand, err := calibrateCandidate(net.Clone(), cfg, rng, 1<<i, budget, above)
+		csp.SetAttr("steps", cand.steps)
+		csp.SetAttr("success", cand.success)
 		csp.End()
 		slots[i] = slot{cand: cand, done: true, err: err}
 		if err == nil && cand.success {

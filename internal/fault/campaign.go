@@ -270,7 +270,7 @@ func SimulateWith(golden *snn.Network, faults []Fault, stimulus *tensor.Tensor, 
 	start := time.Now()
 	steps, err := golden.CheckInput(stimulus)
 	if err != nil {
-		return nil, fmt.Errorf("fault: Simulate: %w", err)
+		return nil, fmt.Errorf("fault: SimulateWith: %w", err)
 	}
 	if err := Validate(golden, faults); err != nil {
 		return nil, err
@@ -344,7 +344,7 @@ func ClassifyWith(golden *snn.Network, faults []Fault, samples []*tensor.Tensor,
 	start := time.Now()
 	for si, s := range samples {
 		if _, err := golden.CheckInput(s); err != nil {
-			return nil, fmt.Errorf("fault: Classify: sample %d: %w", si, err)
+			return nil, fmt.Errorf("fault: ClassifyWith: sample %d: %w", si, err)
 		}
 	}
 	if err := Validate(golden, faults); err != nil {

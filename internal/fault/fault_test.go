@@ -473,3 +473,20 @@ func TestValidateRejectsNonFiniteWeights(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignInputErrorsNameTheirFunction pins the campaign drivers'
+// input-error prefixes to the exported functions that return them: a
+// stimulus of the wrong shape fails SimulateWith, and a bad labelled
+// sample fails ClassifyWith with its index.
+func TestCampaignInputErrorsNameTheirFunction(t *testing.T) {
+	net := tinyNet(3)
+	bad := tensor.New(4, 5) // frames of 5 where the network takes 4
+	faults := Enumerate(net, DefaultOptions())
+	if _, err := SimulateWith(net, faults, bad, CampaignOptions{}); err == nil || !strings.HasPrefix(err.Error(), "fault: SimulateWith: ") {
+		t.Errorf("SimulateWith error %v, want prefix %q", err, "fault: SimulateWith: ")
+	}
+	samples := []*tensor.Tensor{denseStim(1, net, 4), bad}
+	if _, err := ClassifyWith(net, faults, samples, CampaignOptions{}); err == nil || !strings.HasPrefix(err.Error(), "fault: ClassifyWith: sample 1: ") {
+		t.Errorf("ClassifyWith error %v, want prefix %q", err, "fault: ClassifyWith: sample 1: ")
+	}
+}

@@ -28,9 +28,9 @@ var (
 	obsWorkerUtil     = obs.NewGauge("worker_utilization_percent")
 )
 
-// size resolves a requested worker count for n work items: ≤ 0 means
+// Size resolves a requested worker count for n work items: ≤ 0 means
 // GOMAXPROCS, and the result lies in [1, max(n, 1)].
-func size(requested, n int) int {
+func Size(requested, n int) int {
 	w := requested
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -56,7 +56,7 @@ func RunWith[S any](workers, n int, newState func() S, fn func(s S, i int)) {
 	if n <= 0 {
 		return
 	}
-	workers = size(workers, n)
+	workers = Size(workers, n)
 	if workers == 1 {
 		s := newState()
 		for i := 0; i < n; i++ {

@@ -15,8 +15,8 @@ func TestPoolSize(t *testing.T) {
 		{0, 1 << 20, runtime.GOMAXPROCS(0)},
 		{-1, 1, 1},
 	} {
-		if got := size(tc.requested, tc.n); got != tc.want {
-			t.Errorf("size(%d, %d) = %d, want %d", tc.requested, tc.n, got, tc.want)
+		if got := Size(tc.requested, tc.n); got != tc.want {
+			t.Errorf("Size(%d, %d) = %d, want %d", tc.requested, tc.n, got, tc.want)
 		}
 	}
 }
@@ -40,7 +40,7 @@ func TestRunWithVisitsEveryIndexOnce(t *testing.T) {
 				t.Errorf("workers=%d n=%d: index %d processed %d times", tc.workers, tc.n, i, got)
 			}
 		}
-		if got, limit := states.Load(), int64(size(tc.workers, tc.n)); tc.n > 0 && (got < 1 || got > limit) {
+		if got, limit := states.Load(), int64(Size(tc.workers, tc.n)); tc.n > 0 && (got < 1 || got > limit) {
 			t.Errorf("workers=%d n=%d: %d states built, want 1..%d", tc.workers, tc.n, got, limit)
 		}
 	}

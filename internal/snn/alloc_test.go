@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	ag "github.com/repro/snntest/internal/autograd"
+	"github.com/repro/snntest/internal/tensor"
 )
 
 // Zero-allocation gates for the fused simulation path, pinned with the
@@ -92,6 +95,71 @@ func TestReplayAndDivergenceZeroAlloc(t *testing.T) {
 		last.SetNeuronThreshold(last.NumNeurons()-1, 0.5)
 		if allocs := allocsOnce(func() { sc.DivergesFrom(start, golden, stim) }); allocs != 0 {
 			t.Errorf("%s: first DivergesFrom after a new fault allocated %d times; want 0", b, allocs)
+		}
+	}
+}
+
+// TestRunGraphFusedZeroAlloc pins the BPTT kernel's zero-allocation
+// contract on every fixture: once a network has run RunGraphFused at a
+// step count, a forward pass over arena-adopted leaves plus a Backward
+// through it allocates nothing. The root is an allocation-free MultiOp
+// that adds 1 to every spike's cotangent, so the count is the kernel's
+// alone; the test also checks that the backward reached the inputs.
+// Under the race detector sync.Pool drops items at random, so Backward's
+// pooled traversal buffers reallocate and only the gradient check runs.
+func TestRunGraphFusedZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, b := range []string{"nmnist", "ibm-gesture", "shd"} {
+		net := must(Build(b, rng, ScaleTiny))
+		stim := benchStimulus(net, 12)
+		arena := tensor.NewArena()
+		in := make([]*ag.Node, stim.Dim(0))
+		for s := range in {
+			x := tensor.New(net.InShape...)
+			copy(x.Data(), stim.RawRange(s*net.InputLen(), net.InputLen()))
+			arena.Adopt(x)
+			in[s] = ag.Leaf(x)
+		}
+		var spikes []*ag.Node
+		var seed *ag.MultiOp
+		seed = ag.NewMultiOp(func() {
+			for _, s := range spikes {
+				g := s.Grad.Data()
+				for i := range g {
+					g[i]++
+				}
+			}
+		})
+		val, grad := tensor.Scalar(0), tensor.Scalar(0)
+		pass := func() {
+			arena.Reset()
+			res := net.RunGraphFused(in)
+			spikes = spikes[:0]
+			for _, layer := range res.Spikes {
+				spikes = append(spikes, layer...)
+			}
+			seed.Bind(spikes, 1)
+			if err := ag.Backward(seed.Output(0, val, grad)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pass()
+		nonZero := 0
+		for _, x := range in {
+			for _, g := range x.Grad.Data() {
+				if g != 0 {
+					nonZero++
+				}
+			}
+		}
+		if nonZero == 0 {
+			t.Fatalf("%s: no input gradient reached the leaves", b)
+		}
+		if raceEnabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
+			t.Errorf("%s: RunGraphFused forward + backward allocated %v times per pass; want 0", b, allocs)
 		}
 	}
 }

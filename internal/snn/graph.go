@@ -53,39 +53,19 @@ func (g *GraphResult) ToRecordInto(n *Network, rec *Record) *Record {
 // returned spike nodes flow back to the input through the fast-sigmoid
 // surrogate, mirroring SLAYER's training backward pass.
 //
+// The graph is composed from elementary autograd ops, one tape node per
+// op per (layer, step). It is the oracle RunGraphFused is pinned against
+// (internal/core's TestEquivGenerationGraph and FuzzRunGraphFused) and,
+// with the projections in training mode, the path training runs on.
+//
 // The network must be fault-free: test generation and training always run
 // on the golden model.
 func (n *Network) RunGraph(inputSteps []*ag.Node) *GraphResult {
-	return n.runGraph(inputSteps, false)
-}
-
-// RunGraphFused is RunGraph with the membrane update built from the
-// fused autograd LIF kernels (ag.OneMinusSpike, ag.LIFStep) instead of
-// the composed Scale/Mul/Add chain. Spike values and every gradient are
-// bit-identical to RunGraph — the fused ops replay the same float
-// sequence — so the generation engine uses it as a drop-in graph
-// builder; RunGraph remains the oracle form that internal/core's
-// TestEquivGenerationGraph and FuzzRunGraphFused pin it against.
-func (n *Network) RunGraphFused(inputSteps []*ag.Node) *GraphResult {
-	return n.runGraph(inputSteps, true)
-}
-
-func (n *Network) runGraph(inputSteps []*ag.Node, fused bool) *GraphResult {
-	if n.HasFaultOverrides() {
-		// Hot-path invariant: GenerateContext and Train validate
-		// fault-freedom once at entry before their per-iteration RunGraph
-		// loops.
-		failf("snn: RunGraph requires a fault-free network")
-	}
-	steps := len(inputSteps)
-	if steps == 0 {
-		failf("snn: RunGraph needs at least one input step")
-	}
+	steps := n.checkGraphInput(inputSteps)
 	type graphLayerState struct {
 		u         *ag.Node
 		lastSpike *ag.Node
 		refrac    []int
-		inRefrac  int // neurons with refrac > 0; gate is all-ones when 0
 	}
 	states := make([]*graphLayerState, len(n.Layers))
 	for i, l := range n.Layers {
@@ -106,37 +86,23 @@ func (n *Network) runGraph(inputSteps []*ag.Node, fused bool) *GraphResult {
 			cur := l.Proj.ForwardGraph(in, lastOut)
 
 			// gate: 0 while refractory, 1 otherwise (non-differentiable,
-			// computed from recorded binary spikes, hence constant). It
-			// inherits the current's arena, if any: the gate is only read
-			// within this graph's lifetime. The fused path elides an
-			// all-ones gate outright — multiplying by exactly 1.0 is the
-			// identity in every float, so the elision is bit-invisible.
-			var gate *tensor.Tensor
-			if !fused || st.inRefrac > 0 {
-				gate = tensor.NewLike(cur.Value, cur.Value.Shape()...)
-				gd := gate.Data()
-				for i := range gd {
-					if st.refrac[i] == 0 {
-						gd[i] = 1
-					}
+			// computed from recorded binary spikes, hence constant).
+			gate := tensor.NewLike(cur.Value, cur.Value.Shape()...)
+			gd := gate.Data()
+			for i := range gd {
+				if st.refrac[i] == 0 {
+					gd[i] = 1
 				}
 			}
 
 			// u_t = gate ⊙ (leak·u_{t-1}·(1 − s_{t-1}) + I_t)
 			var u *ag.Node
-			switch {
-			case st.u == nil && gate == nil:
-				u = cur
-			case st.u == nil:
+			if st.u == nil {
 				u = ag.Mul(cur, ag.Const(gate))
-			case fused:
-				u = ag.LIFStep(st.u, ag.OneMinusSpike(st.lastSpike), cur, gate, l.LIF.Leak)
-			default:
+			} else {
 				keep := ag.Scale(st.u, l.LIF.Leak)
-				if st.lastSpike != nil {
-					oneMinus := ag.AddScalar(ag.Neg(st.lastSpike), 1)
-					keep = ag.Mul(keep, oneMinus)
-				}
+				oneMinus := ag.AddScalar(ag.Neg(st.lastSpike), 1)
+				keep = ag.Mul(keep, oneMinus)
 				u = ag.Mul(ag.Add(keep, cur), ag.Const(gate))
 			}
 
@@ -144,15 +110,11 @@ func (n *Network) runGraph(inputSteps []*ag.Node, fused bool) *GraphResult {
 
 			// Refractory bookkeeping from the realized binary spikes.
 			sv := s.Value.Data()
-			st.inRefrac = 0
 			for i := range st.refrac {
 				if st.refrac[i] > 0 {
 					st.refrac[i]--
 				} else if sv[i] == 1 { //lint:ignore floateq realized spikes are exactly 0 or 1
 					st.refrac[i] = l.LIF.Refractory
-				}
-				if st.refrac[i] > 0 {
-					st.inRefrac++
 				}
 			}
 
@@ -163,4 +125,17 @@ func (n *Network) runGraph(inputSteps []*ag.Node, fused bool) *GraphResult {
 		}
 	}
 	return res
+}
+
+// checkGraphInput enforces the graph paths' preconditions and returns the
+// step count. Hot-path invariant: GenerateContext and Train validate
+// fault-freedom once at entry before their per-iteration graph loops.
+func (n *Network) checkGraphInput(inputSteps []*ag.Node) int {
+	if n.HasFaultOverrides() {
+		failf("snn: RunGraph requires a fault-free network")
+	}
+	if len(inputSteps) == 0 {
+		failf("snn: RunGraph needs at least one input step")
+	}
+	return len(inputSteps)
 }

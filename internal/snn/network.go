@@ -36,6 +36,9 @@ type Network struct {
 	// milliseconds; it converts step counts into the paper's test-duration
 	// seconds.
 	StepMS float64
+
+	// bptt is RunGraphFused's kernel, built on first use and never cloned.
+	bptt *bpttKernel
 }
 
 // NewNetwork validates layer shape compatibility and returns the network.

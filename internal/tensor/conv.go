@@ -15,14 +15,6 @@ func ConvOutDim(in, k, stride, pad int) int {
 // Conv2D computes the cross-correlation of input x [inC,H,W] with kernel
 // w [outC,inC,kH,kW], producing [outC,outH,outW]. Stride and padding follow
 // the usual CNN convention; bias is not applied (spiking layers have none).
-//
-// When the result is arena-backed (an operand is arena-tagged) the
-// convolution runs through the im2col kernel with the column buffer drawn
-// from the same arena: the generation engine gets the branch-free path
-// while heap callers — including the heap-side graph of the generation
-// oracle — keep the naive loops below, which remain the comparison
-// baseline. The two paths are bit-identical (see the im2col numerical
-// contract; the fuzz harness differentiates them).
 func Conv2D(x, w *Tensor, spec ConvSpec) *Tensor {
 	if x.Rank() != 3 || w.Rank() != 4 {
 		failf("Conv2D requires input rank 3 and kernel rank 4, got %v and %v", x.shape, w.shape)
@@ -38,12 +30,6 @@ func Conv2D(x, w *Tensor, spec ConvSpec) *Tensor {
 		failf("Conv2D produces empty output for input %v kernel %v spec %+v", x.shape, w.shape, spec)
 	}
 	out := newResult(x, w, outC, oh, ow)
-	if out.ar != nil {
-		col := out.ar.allocDataUnzeroed(Im2ColLen(inC, h, wd, kh, kw, spec))
-		Im2Col(col, x.data, inC, h, wd, kh, kw, spec)
-		Conv2DColInto(out.data, col, w)
-		return out
-	}
 	for oc := 0; oc < outC; oc++ {
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*spec.Stride - spec.Pad
@@ -91,35 +77,56 @@ func clampKernelRange(i0, k, size int) (int, int) {
 // Conv2DBackwardInput returns ∂L/∂x given upstream gradient g [outC,outH,outW]
 // for Conv2D(x, w, spec) with input shape [inC,H,W].
 func Conv2DBackwardInput(g, w *Tensor, inShape []int, spec ConvSpec) *Tensor {
+	dx := newResult(g, w, inShape[0], inShape[1], inShape[2])
+	Conv2DBackwardInputInto(dx.data, g.data, w, inShape, spec)
+	return dx
+}
+
+// Conv2DBackwardInputInto writes ∂L/∂x of Conv2D(x, w, spec) for input
+// shape inShape into dx, given the flattened upstream gradient g: dx is
+// zeroed, then every non-zero g entry scatters through the kernel in
+// (oc, oy, ox, ic, ky, kx) order. It is the one body behind
+// Conv2DBackwardInput and snn's BPTT kernel, so both sum in one order.
+//
+//snn:hotpath
+func Conv2DBackwardInputInto(dx, g []float64, w *Tensor, inShape []int, spec ConvSpec) {
 	inC, h, wd := inShape[0], inShape[1], inShape[2]
 	outC, _, kh, kw := w.shape[0], w.shape[1], w.shape[2], w.shape[3]
-	oh, ow := g.shape[1], g.shape[2]
-	dx := newResult(g, w, inC, h, wd)
+	oh := ConvOutDim(h, kh, spec.Stride, spec.Pad)
+	ow := ConvOutDim(wd, kw, spec.Stride, spec.Pad)
+	if len(dx) != inC*h*wd || len(g) != outC*oh*ow {
+		failf("Conv2DBackwardInputInto buffers %d/%d do not match input %v and output [%d,%d,%d]", len(dx), len(g), inShape, outC, oh, ow)
+	}
+	clear(dx)
+	plane, patch := h*wd, inC*kh*kw
 	for oc := 0; oc < outC; oc++ {
+		wOC := w.data[oc*patch : (oc+1)*patch]
 		for oy := 0; oy < oh; oy++ {
 			iy0 := oy*spec.Stride - spec.Pad
 			ky0, ky1 := clampKernelRange(iy0, kh, h)
-			for ox := 0; ox < ow; ox++ {
-				gv := g.data[(oc*oh+oy)*ow+ox]
+			grow := g[(oc*oh+oy)*ow : (oc*oh+oy+1)*ow]
+			for ox, gv := range grow {
 				if gv == 0 {
 					continue
 				}
 				ix0 := ox*spec.Stride - spec.Pad
 				kx0, kx1 := clampKernelRange(ix0, kw, wd)
+				n := kx1 - kx0
+				if n == 0 {
+					continue // the window lies in the padding
+				}
 				for ic := 0; ic < inC; ic++ {
 					for ky := ky0; ky < ky1; ky++ {
-						iy := iy0 + ky
-						drow := dx.data[(ic*h+iy)*wd : (ic*h+iy+1)*wd]
-						wrow := w.data[((oc*inC+ic)*kh+ky)*kw : ((oc*inC+ic)*kh+ky+1)*kw]
-						for kx := kx0; kx < kx1; kx++ {
-							drow[ix0+kx] += gv * wrow[kx]
+						drow := dx[ic*plane+(iy0+ky)*wd+ix0+kx0:][:n]
+						wrow := wOC[(ic*kh+ky)*kw+kx0:][:n]
+						for kx, wv := range wrow {
+							drow[kx] += gv * wv
 						}
 					}
 				}
 			}
 		}
 	}
-	return dx
 }
 
 // Conv2DBackwardKernel returns ∂L/∂w given upstream gradient g

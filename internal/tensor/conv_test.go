@@ -195,3 +195,18 @@ func TestConv2DLinearityProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestConv2DBackwardInputPaddingOnlyWindows pins the input gradient when
+// padding exceeds the kernel, so some windows read only padding: those
+// windows contribute nothing, and every in-bounds tap gets its term.
+func TestConv2DBackwardInputPaddingOnlyWindows(t *testing.T) {
+	spec := ConvSpec{Stride: 1, Pad: 2}
+	w := FromSlice([]float64{2}, 1, 1, 1, 1)
+	g := Full(1, 1, 6, 6) // 2×2 input, 1×1 kernel, pad 2 → 6×6 output
+	dx := Conv2DBackwardInput(g, w, []int{1, 2, 2}, spec)
+	for i, v := range dx.Data() {
+		if v != 2 {
+			t.Fatalf("dx[%d] = %v, want 2", i, v)
+		}
+	}
+}

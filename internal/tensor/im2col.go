@@ -12,9 +12,13 @@ package tensor
 // performs the same additions in the same order, interleaved with exact
 // +0.0 terms for padding; results equal the naive kernel's except, at
 // most, the sign of a zero output (x + (+0.0) == x for every x except
-// -0.0, which padding can flip to +0.0). Spike trains downstream are
-// re-derived through comparisons and literal stores, so recorded traces
-// stay bitwise identical — the equivalence suite pins this.
+// -0.0, which padding can flip to +0.0). FuzzConv2DIm2Col and
+// TestEquivConv2DIm2ColMatchesNaive pin the contract.
+//
+// No simulation path calls this file any more: the generation engine's
+// convolutions moved into snn's BPTT kernel, whose forward is the
+// event-driven scatter. It is kept, with its tests, until it is deleted
+// on its own.
 
 // Im2ColLen returns the required column-buffer length for an [inC, h, w]
 // input under a kh×kw kernel with the given spec.
@@ -127,11 +131,9 @@ func Conv2DColInto(out, col []float64, w *Tensor) {
 }
 
 // Conv2DIm2Col computes the same cross-correlation as Conv2D through an
-// explicit column matrix. It allocates its own buffers and exists as the
+// explicit column matrix. It allocates its own buffers and is the
 // self-contained, reference-comparable form of the im2col path (the fuzz
-// harness differentiates it against the naive Conv2D); the arena-backed
-// Conv2D of the generation engine calls Im2Col + Conv2DColInto over
-// arena scratch.
+// harness differentiates it against the naive Conv2D).
 func Conv2DIm2Col(x, w *Tensor, spec ConvSpec) *Tensor {
 	if x.Rank() != 3 || w.Rank() != 4 {
 		failf("Conv2DIm2Col requires input rank 3 and kernel rank 4, got %v and %v", x.shape, w.shape)

@@ -25,22 +25,31 @@ func MatVec(w, x *Tensor) *Tensor {
 // MatVecT returns wᵀ·g for a weight matrix w (out×in) and vector g (out):
 // the gradient of MatVec(w, x) with respect to x.
 func MatVecT(w, g *Tensor) *Tensor {
+	out := newResult(w, g, w.shape[1])
+	MatVecTInto(out.data, w, g.data)
+	return out
+}
+
+// MatVecTInto writes wᵀ·g into dst (length in): dst is zeroed, then every
+// non-zero g entry adds its weight row, rows ascending. It is the one
+// body behind MatVecT and snn's BPTT kernel, so both sum in one order.
+//
+//snn:hotpath
+func MatVecTInto(dst []float64, w *Tensor, g []float64) {
 	rows, cols := w.shape[0], w.shape[1]
-	if g.Len() != rows {
-		failf("MatVecT dimension mismatch %vᵀ · %v", w.shape, g.shape)
+	if len(g) != rows || len(dst) != cols {
+		failf("MatVecT dimension mismatch %vᵀ · [%d] into [%d]", w.shape, len(g), len(dst))
 	}
-	out := newResult(w, g, cols)
-	for i := 0; i < rows; i++ {
-		gv := g.data[i]
+	clear(dst)
+	for i, gv := range g {
 		if gv == 0 {
 			continue
 		}
 		wrow := w.data[i*cols : (i+1)*cols]
-		for j := 0; j < cols; j++ {
-			out.data[j] += wrow[j] * gv
+		for j := range dst {
+			dst[j] += wrow[j] * gv
 		}
 	}
-	return out
 }
 
 // Outer returns the outer product g⊗x as a len(g)×len(x) matrix: the

@@ -43,9 +43,16 @@ go test -run Equiv -count=2 ./...
 # its creation, the aliased-golden guard must keep rejecting, and the
 # healthy sweep and sparse override sweep must keep bit-matching as
 # documented.
+# The BPTT kernel behind RunGraphFused is gated the same way: a forward
+# plus backward pass must allocate nothing once the network has run at
+# its step count, and its generation-graph differential (every root
+# shape, NMNIST with trained weights at 256 steps, SHD at 64) and fuzz
+# seeds must keep matching the composed RunGraph tape bit for bit across
+# repeated runs.
 # The fused-vs-reference equivalence suite itself already runs under the
 # Equiv gate above.
-go test -run 'ZeroAlloc|TestScratch|TestStepLayer' ./internal/snn/
+go test -count=2 -run 'ZeroAlloc|TestScratch|TestStepLayer' ./internal/snn/
+go test -count=2 -run 'TestEquivGenerationGraph|FuzzRunGraphFused' ./internal/core/
 # Fuzz smoke: ten seconds of coverage-guided fuzzing per target beyond
 # its seeds: the fused forward kernels (dense/recurrent, and conv/pool
 # over random geometry and non-binary stimuli), golden-list replay
