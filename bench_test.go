@@ -515,7 +515,7 @@ func (c *cotangentRoot) bind(res *snn.GraphResult) *autograd.Node {
 }
 
 // BenchmarkGenerateRestarts times the multi-restart generation engine
-// (arena-backed fused graph, im2col conv) at Restarts=4 on four workers
+// (arena-backed fused graph, BPTT kernel) at Restarts=4 on four workers
 // on the NMNIST fixture, with the chunk duration pinned so the loop times
 // the engine rather than calibration. Its bit-identity across worker
 // counts is pinned by internal/core's TestEquivGenerateWorkerCountInvariance

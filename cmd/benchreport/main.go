@@ -7,17 +7,10 @@
 //	            [-table 1|2|3|4] [-fig 7|8|9] [-ablations] [-all]
 //	            [-bench nmnist,ibm-gesture,shd] [-v|-quiet] [-out report.txt]
 //	            [-trace out.jsonl] [-serve :9090] [-profile-dir DIR]
-//	            [-profile cpu.pprof] [-profile-out BENCH_profile.json]
-//	            [-profile-min-labeled F] [-profile-kernel-min F]
 //
-// -profile analyzes a pprof CPU profile captured with phase labelling
-// on (any -profile-dir run, or /debug/pprof/profile): the samples are
-// folded by their `phase` label into a per-phase flat/cum
-// CPU table, written both to stdout and to the -profile-out JSON
-// artifact. The optional gates fail the run when too few samples carry
-// a phase label (-profile-min-labeled) or when the fused-kernel phases
-// hold too little of the generate subtree's CPU (-profile-kernel-min) —
-// verify.sh runs both so attribution regressions surface in CI.
+// -profile-dir captures phase-labelled CPU and heap profiles; read the
+// per-phase CPU table with `go tool pprof -tags -sample_index=samples
+// DIR/benchreport.cpu.pprof`.
 //
 // With no artifact flags, -all is implied. Tables I–III run on every
 // selected benchmark; Table IV and the figures follow the paper's choices
@@ -57,29 +50,19 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	var ocli obs.CLI
 	ocli.Register(fs)
 	var (
-		scaleFlag   = fs.String("scale", "tiny", "model scale: tiny, small or full")
-		seed        = fs.Int64("seed", 1, "random seed for every stochastic component")
-		workers     = fs.Int("workers", 0, "fault-campaign workers (0 = GOMAXPROCS)")
-		epochs      = fs.Int("epochs", 0, "training epochs (0 = scale default)")
-		table       = fs.Int("table", 0, "render one table (1-4)")
-		fig         = fs.Int("fig", 0, "render one figure (7-9)")
-		ablations   = fs.Bool("ablations", false, "run the ablation study")
-		all         = fs.Bool("all", false, "render every table, figure and ablation")
-		benchList   = fs.String("bench", strings.Join(experiments.Benchmarks, ","), "comma-separated benchmarks")
-		outPath     = fs.String("out", "", "write the report to this file (default: stdout)")
-		profile     = fs.String("profile", "", "analyze a pprof CPU profile: fold samples by phase label, render the per-phase table and write the -profile-out artifact")
-		profOut     = fs.String("profile-out", "BENCH_profile.json", "phase-attribution artifact path for -profile")
-		profLabMin  = fs.Float64("profile-min-labeled", 0, "fail unless at least this fraction of samples carries a phase label (0 = no gate)")
-		profKernMin = fs.Float64("profile-kernel-min", 0, "fail unless the kernel phases hold at least this fraction of the generate subtree's CPU (0 = no gate)")
-		profMinSamp = fs.Int("profile-min-samples", 50, "skip the -profile gates (with a note) below this sample count")
+		scaleFlag = fs.String("scale", "tiny", "model scale: tiny, small or full")
+		seed      = fs.Int64("seed", 1, "random seed for every stochastic component")
+		workers   = fs.Int("workers", 0, "fault-campaign workers (0 = GOMAXPROCS)")
+		epochs    = fs.Int("epochs", 0, "training epochs (0 = scale default)")
+		table     = fs.Int("table", 0, "render one table (1-4)")
+		fig       = fs.Int("fig", 0, "render one figure (7-9)")
+		ablations = fs.Bool("ablations", false, "run the ablation study")
+		all       = fs.Bool("all", false, "render every table, figure and ablation")
+		benchList = fs.String("bench", strings.Join(experiments.Benchmarks, ","), "comma-separated benchmarks")
+		outPath   = fs.String("out", "", "write the report to this file (default: stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *profile != "" {
-		// Pure file analysis: no pipelines, no obs setup, deterministic
-		// per profile.
-		return runProfile(stdout, *profile, *profOut, *profLabMin, *profKernMin, *profMinSamp)
 	}
 	log, stop, err := ocli.Start(stderr)
 	if err != nil {

@@ -9,8 +9,7 @@
 //	faultsim -bench shd [-scale tiny|small|full] [-stride N]
 //	         [-weights file.gob] [-extended] [-workers N] [-epochs N] [-seed N]
 //	         [-v|-quiet] [-trace out.jsonl] [-serve :9090]
-//	         [-ledger dir] [-stall-timeout D]
-//	         [-profile-dir dir]
+//	         [-ledger dir] [-profile-dir dir]
 //
 // -stride and -epochs default to 0, meaning the scale's value from
 // experiments.ScaledOptions; -weights loads weights saved by

@@ -13,8 +13,7 @@
 //	           [-restarts K] [-tinmin N] [-stride N] [-workers N]
 //	           [-save-stimulus file.gob]
 //	           [-v|-quiet] [-trace out.jsonl] [-serve :9090]
-//	           [-ledger dir] [-stall-timeout D]
-//	           [-profile-dir dir]
+//	           [-ledger dir] [-profile-dir dir]
 //
 // Every budget flag (-epochs, -steps1, -max-iter, -restarts, -stride)
 // defaults to 0, meaning the scale's value from
@@ -30,10 +29,8 @@
 // JSON lines and prints an end-of-run summary; -serve exposes the run
 // live over HTTP (/metrics, /runs, /debug/pprof); -v / -quiet tune the
 // stderr narration. -profile-dir writes phase-labelled
-// snntestgen.{cpu,heap}.pprof profiles (analyze with
-// `benchreport -profile`).
-// -stall-timeout (with -serve and -ledger) dumps goroutine snapshots of
-// flatlined runs into the ledger directory.
+// snntestgen.{cpu,heap}.pprof profiles (read the per-phase CPU table
+// with `go tool pprof -tags -sample_index=samples`).
 // SIGINT/SIGTERM cancel generation gracefully — the partial stimulus is
 // still verified and the trace flushed.
 package main

@@ -3,13 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
 	"github.com/repro/snntest/internal/experiments"
-	"github.com/repro/snntest/internal/profparse"
 	"github.com/repro/snntest/internal/snn"
 )
 
@@ -94,17 +92,16 @@ func TestRunMatchesTable3(t *testing.T) {
 	}
 }
 
-// TestRunProfileDirDarkIdentity pins two acceptance criteria at once: a
-// -profile-dir run leaves the tool's stdout byte-identical to a dark run
-// (profiling is observability, never behaviour), and the captured CPU
-// profile attributes ≥95% of its samples to a phase label.
+// TestRunProfileDirDarkIdentity pins that a -profile-dir run leaves the
+// tool's stdout byte-identical to a dark run: profiling is observability,
+// never behaviour. verify.sh gates the capture's phase attribution with
+// go tool pprof on a longer run.
 func TestRunProfileDirDarkIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live CPU profile capture in -short mode")
 	}
-	// A generation-heavy budget, so the profiled window collects ~90 CPU
-	// samples mostly inside the zero-alloc kernels. A training-heavy run
-	// of ~20 samples was decided by one or two GC-background samples.
+	// A generation-heavy budget, so the profiled window runs the
+	// phase-labelled kernels rather than only training.
 	args := []string{
 		"-bench", "nmnist", "-scale", "tiny", "-epochs", "1",
 		"-steps1", "100", "-max-iter", "4", "-restarts", "4",
@@ -126,22 +123,6 @@ func TestRunProfileDirDarkIdentity(t *testing.T) {
 	norm := func(s string) string { return durations.ReplaceAllString(s, "DUR") }
 	if norm(dark.String()) != norm(lit.String()) {
 		t.Errorf("-profile-dir changed stdout:\ndark:\n%s\nprofiled:\n%s", dark.String(), lit.String())
-	}
-
-	p, err := profparse.ParseFile(filepath.Join(dir, "snntestgen.cpu.pprof"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := profparse.FoldByPhase(p, "cpu")
-	if r.TotalSamples < 20 {
-		t.Skipf("only %d CPU samples collected; too few to judge attribution", r.TotalSamples)
-	}
-	// GC background goroutines (the only unlabelled samples) still hold
-	// a few percent of this short run; the full ≥0.95 acceptance gate
-	// runs in verify.sh on a longer generate-dominated capture, where
-	// the zero-alloc kernels push the labelled fraction past 99%.
-	if r.LabeledFraction < 0.90 {
-		t.Errorf("phase-labelled fraction = %.3f, want >= 0.90; phases: %+v", r.LabeledFraction, r.Phases)
 	}
 }
 

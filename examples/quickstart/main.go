@@ -7,9 +7,8 @@
 // Pass -trace trace.jsonl to record the run's observability stream
 // (span tree + counters), -serve :9090 to watch the run live
 // (/metrics, /runs, /debug/pprof), -v / -quiet to tune narration, and
-// -profile-dir to capture phase-labelled pprof profiles — `benchreport
-// -profile` folds them by pipeline phase.
-// -stall-timeout with -serve and -ledger arms the stall watchdog.
+// -profile-dir to capture phase-labelled pprof profiles — `go tool pprof
+// -tags -sample_index=samples` tables them by pipeline phase.
 // SIGINT/SIGTERM cancel the run gracefully: the partial result is
 // reported and the trace is flushed intact.
 package main

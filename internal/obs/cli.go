@@ -20,7 +20,6 @@ import (
 //	-serve ADDR   live telemetry HTTP server (/metrics, /runs, pprof)
 //	-ledger DIR   per-run flight-recorder journals (JSONL per run)
 //	-profile-dir DIR   phase-labelled cpu/heap pprof profiles, tool-named
-//	-stall-timeout D   stall watchdog deadline for -serve + -ledger runs
 //
 // Register the flags on the binary's FlagSet, then call Start after
 // parsing; the returned stop function shuts the telemetry server down,
@@ -38,11 +37,6 @@ type CLI struct {
 	// stable across runs (no timestamps) and CI can upload them as
 	// artifacts.
 	ProfileDir string
-	// Stall arms the telemetry server's stall watchdog: when a tracked
-	// run's progress flatlines for this long, a goroutine dump plus a
-	// runtime-metrics snapshot is written to the -ledger directory.
-	// Zero disables the watchdog; it requires -serve and -ledger.
-	Stall time.Duration
 	// ServedAddr is the telemetry server's resolved listen address after
 	// Start when -serve was given (":0" resolves to an ephemeral port).
 	ServedAddr string
@@ -60,7 +54,6 @@ func (c *CLI) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Serve, "serve", "", "serve live telemetry (/metrics, /healthz, /readyz, /runs, /debug/pprof) on this host:port for the run's duration")
 	fs.StringVar(&c.Ledger, "ledger", "", "append per-run flight-recorder journals (JSONL) under this directory")
 	fs.StringVar(&c.ProfileDir, "profile-dir", "", "write phase-labelled <tool>.cpu.pprof and <tool>.heap.pprof profiles under this directory")
-	fs.DurationVar(&c.Stall, "stall-timeout", 0, "with -serve and -ledger: snapshot a goroutine dump + runtime metrics to the ledger dir when run progress stalls this long (0 = off)")
 }
 
 // toolName returns the profile-file stem: the FlagSet name captured at
@@ -78,8 +71,6 @@ func (c *CLI) toolName() string {
 type ServeOptions struct {
 	Addr      string
 	LedgerDir string
-	// Stall arms the stall watchdog (see CLI.Stall); zero leaves it off.
-	Stall time.Duration
 }
 
 // ServeHandle is a running telemetry server as seen by the CLI bundle:
@@ -142,12 +133,6 @@ func (c *CLI) Level() LogLevel {
 func (c *CLI) Start(stderr io.Writer) (*Logger, func() error, error) {
 	if c.Verbose && c.Quiet {
 		return nil, nil, fmt.Errorf("obs: -v and -quiet are mutually exclusive")
-	}
-	if c.Stall < 0 {
-		return nil, nil, fmt.Errorf("obs: -stall-timeout must be non-negative")
-	}
-	if c.Stall > 0 && (c.Serve == "" || c.Ledger == "") {
-		return nil, nil, fmt.Errorf("obs: -stall-timeout needs both -serve (to watch run progress) and -ledger (to receive stall snapshots)")
 	}
 	log := NewLogger(stderr, c.Level())
 
@@ -254,7 +239,7 @@ func (c *CLI) Start(stderr io.Writer) (*Logger, func() error, error) {
 		if serveHook == nil {
 			return fail(fmt.Errorf("obs: -serve needs the telemetry server linked in; import internal/obs/telemetry"))
 		}
-		h, err := serveHook(ServeOptions{Addr: c.Serve, LedgerDir: c.Ledger, Stall: c.Stall})
+		h, err := serveHook(ServeOptions{Addr: c.Serve, LedgerDir: c.Ledger})
 		if err != nil {
 			return fail(err)
 		}

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestCLIStartTraceLifecycle runs the full CLI wiring: trace + profiles
@@ -124,19 +123,6 @@ func TestCLIStartProfileDir(t *testing.T) {
 		} else if st.Size() == 0 {
 			t.Errorf("profile %s is empty", p)
 		}
-	}
-}
-
-// TestCLIStartStallValidation pins -stall-timeout's dependency on both
-// -serve and -ledger.
-func TestCLIStartStallValidation(t *testing.T) {
-	c := CLI{Stall: time.Second, Serve: ":0"}
-	if _, _, err := c.Start(os.Stderr); err == nil {
-		t.Fatal("want error for -stall-timeout without -ledger")
-	}
-	c = CLI{Stall: -time.Second}
-	if _, _, err := c.Start(os.Stderr); err == nil {
-		t.Fatal("want error for negative -stall-timeout")
 	}
 }
 

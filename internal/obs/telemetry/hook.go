@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"context"
-
 	"github.com/repro/snntest/internal/obs"
 	// Import-for-effect: linking the telemetry server in also registers
 	// the flight-recorder ledger's -ledger hook.
@@ -28,18 +26,6 @@ func init() {
 		if err != nil {
 			return obs.ServeHandle{}, err
 		}
-		shutdown := s.Shutdown
-		if opts.Stall > 0 && opts.LedgerDir != "" {
-			// The stall watchdog rides on the server's run tracker and
-			// drops its snapshots next to the ledger journals; obs.CLI
-			// validates that both prerequisites are present.
-			w := NewWatchdog(s.Sink(), opts.LedgerDir, opts.Stall)
-			w.Start()
-			shutdown = func(ctx context.Context) error {
-				w.Stop()
-				return s.Shutdown(ctx)
-			}
-		}
-		return obs.ServeHandle{Addr: bound, Sink: s.Sink(), Shutdown: shutdown}, nil
+		return obs.ServeHandle{Addr: bound, Sink: s.Sink(), Shutdown: s.Shutdown}, nil
 	})
 }

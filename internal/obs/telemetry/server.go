@@ -95,9 +95,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	// Refresh the runtime_* resource gauges per scrape — the scraper
-	// sets the sampling cadence, and an unscraped server pays nothing.
-	SampleRuntime()
 	// Write errors mean the scraper hung up; nothing useful to do.
 	_ = WriteMetrics(w)
 }

@@ -15,7 +15,7 @@ import (
 // escape analysis decides at compile time, which no AST walk can. The
 // gate covers the full forward pass — not just the LIF step kernel —
 // for every fixture architecture, so a regression in any fused kernel
-// (dense, conv/im2col, pool, recurrent) trips it.
+// (dense, conv, pool, recurrent) trips it.
 
 // TestStepLayerZeroAlloc pins the reference LIF step kernel in isolation:
 // one layer step on prebuilt Scratch state must not allocate.

@@ -69,17 +69,6 @@ func (a *Arena) Aux() any { return a.aux }
 
 // allocData returns a zeroed float64 span of length n from the arena.
 func (a *Arena) allocData(n int) []float64 {
-	s := a.allocDataUnzeroed(n)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// allocDataUnzeroed returns a float64 span of length n holding whatever a
-// previous arena generation left there. Only for buffers the caller
-// overwrites in full before reading (the im2col column matrix).
-func (a *Arena) allocDataUnzeroed(n int) []float64 {
 	for a.di < len(a.data) && len(a.data[a.di])-a.do < n {
 		a.di++
 		a.do = 0
@@ -94,6 +83,7 @@ func (a *Arena) allocDataUnzeroed(n int) []float64 {
 	}
 	s := a.data[a.di][a.do : a.do+n : a.do+n]
 	a.do += n
+	clear(s)
 	return s
 }
 

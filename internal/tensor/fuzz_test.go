@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 )
@@ -23,35 +22,6 @@ func checkPanic(t *testing.T, want bool, fn func()) {
 		}
 	}()
 	fn()
-}
-
-// FuzzConv2DIm2Col differentiates the im2col convolution against the
-// naive Conv2D over arbitrary geometries, strides and paddings. Equality
-// is elementwise == (padding taps contribute exact zero terms, which can
-// at most flip the sign of a zero output — invisible to ==).
-func FuzzConv2DIm2Col(f *testing.F) {
-	f.Add(byte(2), byte(11), byte(11), byte(3), byte(3), byte(3), byte(2), byte(0), int64(1))
-	f.Add(byte(1), byte(5), byte(7), byte(2), byte(3), byte(2), byte(1), byte(2), int64(2))
-	f.Add(byte(3), byte(8), byte(8), byte(1), byte(5), byte(5), byte(3), byte(1), int64(3))
-	f.Add(byte(1), byte(1), byte(1), byte(1), byte(1), byte(1), byte(1), byte(0), int64(4))
-	f.Fuzz(func(t *testing.T, cb, hb, wb, ob, khb, kwb, sb, pb byte, seed int64) {
-		inC, h, w := int(cb)%4+1, int(hb)%16+1, int(wb)%16+1
-		outC, kh, kw := int(ob)%4+1, int(khb)%6+1, int(kwb)%6+1
-		spec := ConvSpec{Stride: int(sb)%4 + 1, Pad: int(pb) % 4}
-		if ConvOutDim(h, kh, spec.Stride, spec.Pad) <= 0 || ConvOutDim(w, kw, spec.Stride, spec.Pad) <= 0 {
-			return // geometry with no output; both kernels reject it
-		}
-		rng := rand.New(rand.NewSource(seed))
-		x := RandBernoulli(rng, 0.3, inC, h, w) // spike-like inputs with exact zeros
-		k := RandNormal(rng, 0, 1, outC, inC, kh, kw)
-		got, want := Conv2DIm2Col(x, k, spec), Conv2D(x, k, spec)
-		for i := range want.Data() {
-			if got.Data()[i] != want.Data()[i] {
-				t.Fatalf("im2col[%d] = %g, naive = %g (in=[%d,%d,%d] k=[%d,%d,%d,%d] %+v)",
-					i, got.Data()[i], want.Data()[i], inC, h, w, outC, inC, kh, kw, spec)
-			}
-		}
-	})
 }
 
 // FuzzAccessors drives the bounds-checked accessors Step, RawRange and
