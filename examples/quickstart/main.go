@@ -57,8 +57,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	rng := rand.New(rand.NewSource(1))
 
 	// 1. Build a tiny NMNIST-style convolutional SNN (untrained weights
-	//    are fine for a first tour; see examples/nmnist_testgen for the
-	//    trained pipeline).
+	//    are fine for a first tour; `go run ./cmd/benchreport -bench nmnist
+	//    -table 3` runs the trained pipeline).
 	net, err := snntest.BuildNMNIST(rng, snntest.ScaleTiny)
 	if err != nil {
 		return err

@@ -55,7 +55,8 @@ func Fig8(ctx context.Context, p *Pipeline) (Fig8Data, error) {
 	if err != nil {
 		return Fig8Data{}, err
 	}
-	sample, err := metrics.Activation(p.Net, p.RandomSample(3))
+	// A fixed test-split item keeps the figure deterministic.
+	sample, err := metrics.Activation(p.Net, p.Data.Test[3%len(p.Data.Test)].Input)
 	if err != nil {
 		return Fig8Data{}, err
 	}

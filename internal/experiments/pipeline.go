@@ -2,8 +2,9 @@
 // behind every table and figure of the paper: build a benchmark SNN,
 // train it on the synthetic stand-in dataset, enumerate and classify the
 // fault universe, generate the optimized test stimulus, and compute the
-// reported metrics. The cmd/benchreport binary, the runnable examples and
-// the root benchmark harness are all thin layers over this package.
+// reported metrics. cmd/benchreport renders every table and figure from
+// it, and snntestgen, faultsim and snntrain print single rows of the same
+// pipelines; all of them build through NewPipeline from ScaledOptions.
 package experiments
 
 import (
@@ -211,13 +212,6 @@ func (p *Pipeline) simulate(ctx context.Context, stimulus *tensor.Tensor, progre
 
 // SampleStepsUsed returns the dataset sample duration in steps.
 func (p *Pipeline) SampleStepsUsed() int { return p.Data.SampleSteps }
-
-// RandomSample returns a deterministic dataset sample for figure
-// rendering.
-func (p *Pipeline) RandomSample(seed int64) *tensor.Tensor {
-	idx := int(seed) % len(p.Data.Test)
-	return p.Data.Test[idx].Input
-}
 
 // progress wraps the log writer into a campaign progress callback.
 func (p *Pipeline) progress(phase string) func(int) {

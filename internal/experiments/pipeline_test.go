@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/repro/snntest/internal/core"
+	"github.com/repro/snntest/internal/fault"
 	"github.com/repro/snntest/internal/snn"
 )
 
@@ -86,6 +87,25 @@ func TestPipelineEndToEndSHD(t *testing.T) {
 	}
 	if t3.DurationSamples <= 0 {
 		t.Error("test duration must be positive")
+	}
+
+	// Section III extension faults: the optimized test must also detect
+	// faults of a kind the base model lacks (parametric timing variation,
+	// weight bit-flips).
+	gen := must(p.Generate(ctx))
+	extended := fault.SampleUniverse(p.Net, fault.ExtendedOptions(), p.Opts.FaultStride)
+	sim := must(fault.SimulateWith(p.Net, extended, gen.Stimulus, fault.CampaignOptions{}))
+	extDetected := 0
+	for i, f := range extended {
+		switch f.Kind {
+		case fault.NeuronThresholdVar, fault.NeuronLeakVar, fault.NeuronRefractoryVar, fault.SynapseBitFlip:
+			if sim.Detected[i] {
+				extDetected++
+			}
+		}
+	}
+	if extDetected == 0 {
+		t.Errorf("optimized test detects none of the extension-only faults in a %d-fault extended universe", len(extended))
 	}
 
 	// Figures.

@@ -124,12 +124,6 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	return ctx, sp
 }
 
-// FromContext returns the span carried by ctx, or nil.
-func FromContext(ctx context.Context) *Span {
-	sp, _ := ctx.Value(spanKey{}).(*Span)
-	return sp
-}
-
 // SetAttr attaches a key/value attribute to the span; values should be
 // JSON-encodable (strings, numbers, bools). Attributes must be set by
 // the owning goroutine before End.

@@ -114,18 +114,6 @@ func TestSpanParentingAcrossGoroutines(t *testing.T) {
 	}
 }
 
-func TestFromContext(t *testing.T) {
-	withObs(t)
-	if got := FromContext(context.Background()); got != nil {
-		t.Fatalf("empty context carries span %v", got)
-	}
-	ctx, sp := Start(context.Background(), "x")
-	defer sp.End()
-	if got := FromContext(ctx); got != sp {
-		t.Fatalf("FromContext = %v, want %v", got, sp)
-	}
-}
-
 func TestProgressAndCounterSnapshotEvents(t *testing.T) {
 	rec := withObs(t)
 	c := NewCounter("obs_test.progress_counter")

@@ -73,15 +73,6 @@ func Relu(a *Tensor) *Tensor {
 	return out
 }
 
-// Sigmoid returns 1/(1+exp(-a)) elementwise.
-func Sigmoid(a *Tensor) *Tensor {
-	out := NewLike(a, a.shape...)
-	for i := range a.data {
-		out.data[i] = 1 / (1 + math.Exp(-a.data[i]))
-	}
-	return out
-}
-
 // Exp returns exp(a) elementwise.
 func Exp(a *Tensor) *Tensor {
 	out := NewLike(a, a.shape...)
