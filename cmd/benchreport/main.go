@@ -33,7 +33,7 @@ import (
 	"github.com/repro/snntest/internal/core"
 	"github.com/repro/snntest/internal/experiments"
 	"github.com/repro/snntest/internal/obs"
-	_ "github.com/repro/snntest/internal/obs/telemetry" // -serve support
+	"github.com/repro/snntest/internal/obs/telemetry"
 	"github.com/repro/snntest/internal/snn"
 )
 
@@ -47,7 +47,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var ocli obs.CLI
+	var ocli telemetry.CLI
 	ocli.Register(fs)
 	var (
 		scaleFlag = fs.String("scale", "tiny", "model scale: tiny, small or full")

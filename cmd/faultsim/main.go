@@ -32,7 +32,7 @@ import (
 	"github.com/repro/snntest/internal/experiments"
 	"github.com/repro/snntest/internal/fault"
 	"github.com/repro/snntest/internal/obs"
-	_ "github.com/repro/snntest/internal/obs/telemetry" // -serve support
+	"github.com/repro/snntest/internal/obs/telemetry"
 	"github.com/repro/snntest/internal/snn"
 )
 
@@ -46,7 +46,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("faultsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var ocli obs.CLI
+	var ocli telemetry.CLI
 	ocli.Register(fs)
 	var (
 		bench     = fs.String("bench", "shd", "benchmark: nmnist, ibm-gesture or shd")

@@ -26,8 +26,7 @@ import (
 	"time"
 
 	"github.com/repro/snntest/internal/lint"
-	"github.com/repro/snntest/internal/obs"
-	_ "github.com/repro/snntest/internal/obs/telemetry" // -serve support
+	"github.com/repro/snntest/internal/obs/telemetry"
 )
 
 func main() {
@@ -51,7 +50,7 @@ func main() {
 func run(args []string, dir string, stdout, stderr io.Writer) (findings int, err error) {
 	fs := flag.NewFlagSet("snnlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var ocli obs.CLI
+	var ocli telemetry.CLI
 	ocli.Register(fs)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	list := fs.Bool("list", false, "list the analyzers and exit")

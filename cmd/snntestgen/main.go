@@ -26,9 +26,9 @@
 // -seed, never on the worker count.
 //
 // -trace records the run's observability stream (span tree + counters) as
-// JSON lines and prints an end-of-run summary; -serve exposes the run
-// live over HTTP (/metrics, /runs, /debug/pprof); -v / -quiet tune the
-// stderr narration. -profile-dir writes phase-labelled
+// JSON lines and prints an end-of-run summary; -serve exposes the run's
+// progress live over HTTP (/runs); -v / -quiet tune the stderr
+// narration. -profile-dir writes phase-labelled
 // snntestgen.{cpu,heap}.pprof profiles (read the per-phase CPU table
 // with `go tool pprof -tags -sample_index=samples`).
 // SIGINT/SIGTERM cancel generation gracefully — the partial stimulus is
@@ -46,7 +46,7 @@ import (
 	"github.com/repro/snntest/internal/experiments"
 	"github.com/repro/snntest/internal/metrics"
 	"github.com/repro/snntest/internal/obs"
-	_ "github.com/repro/snntest/internal/obs/telemetry" // -serve support
+	"github.com/repro/snntest/internal/obs/telemetry"
 	"github.com/repro/snntest/internal/snn"
 	"github.com/repro/snntest/internal/tensor"
 )
@@ -61,7 +61,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("snntestgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var ocli obs.CLI
+	var ocli telemetry.CLI
 	ocli.Register(fs)
 	var (
 		bench     = fs.String("bench", "nmnist", "benchmark: nmnist, ibm-gesture or shd")

@@ -26,7 +26,7 @@ import (
 
 	"github.com/repro/snntest/internal/experiments"
 	"github.com/repro/snntest/internal/obs"
-	_ "github.com/repro/snntest/internal/obs/telemetry" // -serve support
+	"github.com/repro/snntest/internal/obs/telemetry"
 	"github.com/repro/snntest/internal/snn"
 )
 
@@ -40,7 +40,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("snntrain", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var ocli obs.CLI
+	var ocli telemetry.CLI
 	ocli.Register(fs)
 	var (
 		bench     = fs.String("bench", "nmnist", "benchmark: nmnist, ibm-gesture or shd")

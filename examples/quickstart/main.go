@@ -5,8 +5,8 @@
 //	go run ./examples/quickstart
 //
 // Pass -trace trace.jsonl to record the run's observability stream
-// (span tree + counters), -serve :9090 to watch the run live
-// (/metrics, /runs, /debug/pprof), -v / -quiet to tune narration, and
+// (span tree + counters), -serve :9090 to watch the run's progress
+// live (/runs), -v / -quiet to tune narration, and
 // -profile-dir to capture phase-labelled pprof profiles — `go tool pprof
 // -tags -sample_index=samples` tables them by pipeline phase.
 // SIGINT/SIGTERM cancel the run gracefully: the partial result is
@@ -23,7 +23,7 @@ import (
 
 	snntest "github.com/repro/snntest"
 	"github.com/repro/snntest/internal/obs"
-	_ "github.com/repro/snntest/internal/obs/telemetry" // -serve support
+	"github.com/repro/snntest/internal/obs/telemetry"
 )
 
 func main() {
@@ -36,7 +36,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("quickstart", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var ocli obs.CLI
+	var ocli telemetry.CLI
 	ocli.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -19,12 +19,6 @@ var (
 	obsIterations  = obs.NewCounter("core_iterations_total")
 	obsGrowths     = obs.NewCounter("core_growths_total")
 	obsRestartsRun = obs.NewCounter("core_restarts_run_total")
-
-	// Live-progress gauges for the telemetry server's /metrics and /runs
-	// views; written once per iteration alongside the counters above.
-	obsGenIteration = obs.NewGauge("core_generate_iteration_index")
-	obsGenActivated = obs.NewGauge("core_generate_activated_neurons")
-	obsGenTotal     = obs.NewGauge("core_generate_total_neurons")
 )
 
 // IterationStats records one iteration of the outer loop (one generated
@@ -114,12 +108,6 @@ func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result
 		// inherit goroutine labels at spawn) with this run's id.
 		ctx = obs.WithRunLabel(ctx, run)
 	}
-	if obs.On() {
-		obsGenIteration.Set(0)
-		obsGenActivated.Set(0)
-		obsGenTotal.Set(int64(totalNeurons))
-	}
-
 	tInMin := cfg.TInMin
 	if tInMin == 0 {
 		var err error
@@ -198,8 +186,6 @@ func GenerateContext(ctx context.Context, net *snn.Network, cfg Config) (*Result
 			obsIterations.Add(1)
 			obsGrowths.Add(int64(winner.growths))
 			obsRestartsRun.Add(int64(winner.run))
-			obsGenIteration.Set(int64(iter + 1))
-			obsGenActivated.Set(int64(len(activated)))
 			obs.ProgressRun(run, "generate", len(activated), totalNeurons)
 			isp.SetAttr("chunk_steps", best.stim.Dim(0))
 			isp.SetAttr("new_activated", newCount)

@@ -5,18 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"sync/atomic"
-	"time"
 
 	"github.com/repro/snntest/internal/obs"
 	"github.com/repro/snntest/internal/pool"
 	"github.com/repro/snntest/internal/snn"
-)
-
-// Restart-engine telemetry: how many workers are mid-optimization right
-// now, and how long one restart's growth loop takes end to end.
-var (
-	obsRestartInflight = obs.NewGauge("core_restart_inflight_workers")
-	obsRestartHist     = obs.NewTimingHistogram("core_restart_optimize_seconds")
 )
 
 // restartOutcome is the result of one restart of the multi-restart stage-1
@@ -55,12 +47,6 @@ func runRestarts(ctx context.Context, net *snn.Network, cfg *Config, iterSeed in
 		if ctx.Err() != nil {
 			return
 		}
-		on := obs.On()
-		var t0 time.Time
-		if on {
-			obsRestartInflight.Add(1)
-			t0 = time.Now()
-		}
 		rctx, rsp := obs.Start(ctx, "generate/restart")
 		rsp.SetAttr("restart", r)
 		rng := rand.New(rand.NewSource(iterSeed + int64(r)))
@@ -68,10 +54,6 @@ func runRestarts(ctx context.Context, net *snn.Network, cfg *Config, iterSeed in
 		best, growths, err := runGrowthLoop(rctx, opt, cfg, mask, tdMin, target, offsets)
 		rsp.SetAttr("growths", growths)
 		rsp.End()
-		if on {
-			obsRestartHist.Observe(time.Since(t0))
-			obsRestartInflight.Add(-1)
-		}
 		slots[r] = slot{opt: opt, best: best, growths: growths, done: true, err: err}
 	})
 

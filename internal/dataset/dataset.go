@@ -71,12 +71,6 @@ type Config struct {
 	Seed          int64
 }
 
-// DefaultConfig returns a small deterministic configuration suitable for
-// unit tests.
-func DefaultConfig() Config {
-	return Config{TrainPerClass: 6, TestPerClass: 3, Steps: 30, Seed: 1}
-}
-
 // ForBenchmark generates the synthetic dataset matching a benchmark
 // network's input geometry. The network must come from one of the
 // snn.Build* constructors.

@@ -147,7 +147,7 @@ func TestForBenchmarkMatchesNetworks(t *testing.T) {
 func TestForBenchmarkUnknownErrors(t *testing.T) {
 	net := must(snn.NewNetwork("mystery", []int{1}, 1.0,
 		must(snn.NewLayer("d", must(snn.NewDenseProj(tensor.New(1, 1))), snn.DefaultLIF()))))
-	if _, err := ForBenchmark(net, DefaultConfig()); err == nil {
+	if _, err := ForBenchmark(net, Config{TrainPerClass: 1, TestPerClass: 1, Steps: 5, Seed: 1}); err == nil {
 		t.Error("expected error for unknown benchmark")
 	}
 }

@@ -44,20 +44,6 @@ var (
 	obsFaultsCritical     = obs.NewCounter("fault_critical_total")
 )
 
-// Live-campaign gauges and latency histogram, only touched when the obs
-// layer is enabled (the telemetry server's /metrics view). done/total
-// track the progress-reporter stride; detected/critical are bumped per hit
-// so coverage-so-far is exact; the inflight gauge counts workers
-// mid-fault.
-var (
-	obsCampaignInflight = obs.NewGauge("fault_campaign_inflight_workers")
-	obsCampaignDone     = obs.NewGauge("fault_campaign_done_faults")
-	obsCampaignTotal    = obs.NewGauge("fault_campaign_total_faults")
-	obsCampaignDetected = obs.NewGauge("fault_campaign_detected_faults")
-	obsCampaignCritical = obs.NewGauge("fault_campaign_critical_faults")
-	obsFaultSimHist     = obs.NewTimingHistogram("fault_simulation_seconds")
-)
-
 // SimResult is the outcome of one fault-simulation campaign against a
 // test stimulus.
 type SimResult struct {
@@ -92,12 +78,11 @@ type ClassifyResult struct {
 }
 
 // progressReporter reports campaign completion counts every stride
-// completions: to the optional CampaignOptions.Progress callback, to the
-// done/total gauges, and as run-scoped progress events. tick runs on
-// worker goroutines outside every campaign lock; finish — called after
-// the workers join — guarantees exactly one terminal done == total
-// report, even when the fault list is empty or total is not a stride
-// multiple.
+// completions: to the optional CampaignOptions.Progress callback and as
+// run-scoped progress events. tick runs on worker goroutines outside
+// every campaign lock; finish — called after the workers join —
+// guarantees exactly one terminal done == total report, even when the
+// fault list is empty or total is not a stride multiple.
 type progressReporter struct {
 	done     atomic.Int64
 	terminal atomic.Bool
@@ -109,7 +94,7 @@ type progressReporter struct {
 }
 
 // active reports whether anything consumes the reports.
-func (r *progressReporter) active() bool { return r.fn != nil || obs.On() }
+func (r *progressReporter) active() bool { return r.fn != nil || r.run != "" }
 
 // tick records one completed fault.
 func (r *progressReporter) tick() {
@@ -135,12 +120,6 @@ func (r *progressReporter) finish() {
 }
 
 func (r *progressReporter) emit(done int) {
-	if obs.On() {
-		// Gauges first, so a /runs snapshot triggered by the progress
-		// event below already sees the matching done count.
-		obsCampaignDone.Set(int64(done))
-		obsCampaignTotal.Set(int64(r.total))
-	}
 	if r.fn != nil {
 		r.fn(done)
 	}
@@ -149,16 +128,15 @@ func (r *progressReporter) emit(done int) {
 
 // campaign describes one fault campaign to run: what SimulateWith and
 // ClassifyWith differ in. Everything else — the span, the run identity,
-// the run_start/fault/run_end events, the gauges, the per-fault timing,
-// progress and the closing counters — is the lifecycle in run.
+// the run_start/fault/run_end events, progress and the closing
+// counters — is the lifecycle in run.
 type campaign struct {
 	name   string // span, run and progress-stream name
 	stride int    // progress reporting stride, in faults
 	// hitKey names the positive outcome ("detected" or "critical") in the
-	// run_end and span attributes; hitGauge counts it live, and
-	// faultCounter and hitCounter are the closing counters.
+	// run_end and span attributes; faultCounter and hitCounter are the
+	// closing counters.
 	hitKey                   string
-	hitGauge                 *obs.Gauge
 	faultCounter, hitCounter *obs.Counter
 	// golden runs the fault-free reference simulations inside the
 	// campaign span. It returns the run_start metadata and the
@@ -199,30 +177,12 @@ func (c *campaign) run(net *snn.Network, faults []Fault, opts CampaignOptions) c
 		// workers spawned below inherit the goroutine label set.
 		ctx = obs.WithRunLabel(ctx, rep.run)
 	}
-	if obs.On() {
-		obsCampaignDone.Set(0)
-		obsCampaignTotal.Set(int64(len(faults)))
-		c.hitGauge.Set(0)
-	}
 	var hits, layerSteps atomic.Int64
 	pool.RunWith(opts.Workers, len(faults), func() *Injector { return NewInjector(net) }, func(inj *Injector, i int) {
-		on := obs.On()
-		var t0 time.Time
-		if on {
-			obsCampaignInflight.Add(1)
-			t0 = time.Now()
-		}
 		out := c.simulate(inj, i)
 		layerSteps.Add(int64(out.LayerSteps))
 		if out.Detected {
 			hits.Add(1)
-		}
-		if on {
-			if out.Detected {
-				c.hitGauge.Add(1)
-			}
-			obsFaultSimHist.Observe(time.Since(t0))
-			obsCampaignInflight.Add(-1)
 		}
 		if rep.run != "" {
 			f := faults[i]
@@ -280,7 +240,7 @@ func SimulateWith(golden *snn.Network, faults []Fault, stimulus *tensor.Tensor, 
 	var goldenOut *tensor.Tensor
 	c := campaign{
 		name: "campaign/simulate", stride: 256,
-		hitKey: "detected", hitGauge: obsCampaignDetected,
+		hitKey:       "detected",
 		faultCounter: obsFaultsSimulated, hitCounter: obsFaultsDetected,
 		golden: func() (map[string]any, int64) {
 			goldenRec = golden.Run(stimulus)
@@ -355,7 +315,7 @@ func ClassifyWith(golden *snn.Network, faults []Fault, samples []*tensor.Tensor,
 	goldenPred := make([]int, len(samples))
 	c := campaign{
 		name: "campaign/classify", stride: 64,
-		hitKey: "critical", hitGauge: obsCampaignCritical,
+		hitKey:       "critical",
 		faultCounter: obsFaultsClassified, hitCounter: obsFaultsCritical,
 		golden: func() (map[string]any, int64) {
 			var fullPerFault int64

@@ -15,8 +15,8 @@
 //   - spanend: every obs.Start span is ended or returned in its
 //     enclosing function (leaked spans corrupt trace trees),
 //   - metricname: obs metric registrations use constant snake_case
-//     subsystem_noun_unit names with the kind's unit suffix, so the
-//     /metrics exposition stays valid and self-describing,
+//     subsystem_noun_unit names with the kind's unit suffix, so every
+//     counter and gauge name is self-describing,
 //   - hotpathalloc: //snn:hotpath functions contain no heap
 //     allocations, directly or one module-internal call deep,
 //   - atomicmix: a variable accessed via sync/atomic is never read or

@@ -9,15 +9,13 @@ import (
 )
 
 // Metricname enforces the repo's metric naming convention at every obs
-// registration site (NewCounter, NewGauge, NewTimingHistogram). Names
-// are Prometheus series names, so they must be valid exposition
-// identifiers and self-describing: snake_case `subsystem_noun_unit`
-// with at least two segments (e.g. snn_layer_steps_total). Unit
-// suffixes are tied to the metric kind — counters end in _total,
-// timing histograms in _seconds, and gauges carry neither (a gauge
-// named like a counter or histogram lies about its semantics). The
-// name must also be a compile-time constant: /metrics renders names
-// unescaped, so dynamic names would bypass this check entirely.
+// registration site (NewCounter, NewGauge). Names must be
+// self-describing: snake_case `subsystem_noun_unit` with at least two
+// segments (e.g. snn_layer_steps_total). Unit suffixes are tied to the
+// metric kind — counters end in _total, and gauges carry neither _total
+// nor _seconds (a gauge named like a counter or a duration lies about
+// its semantics). The name must also be a compile-time constant, so
+// dynamic names cannot bypass this check.
 var Metricname = &Analyzer{
 	Name: "metricname",
 	Doc:  "enforces the subsystem_noun_unit naming convention at obs metric registration sites",
@@ -27,9 +25,8 @@ var Metricname = &Analyzer{
 // metricRegisterFuncs maps each registration entry point to its metric
 // kind.
 var metricRegisterFuncs = map[string]string{
-	"github.com/repro/snntest/internal/obs.NewCounter":         "counter",
-	"github.com/repro/snntest/internal/obs.NewGauge":           "gauge",
-	"github.com/repro/snntest/internal/obs.NewTimingHistogram": "histogram",
+	"github.com/repro/snntest/internal/obs.NewCounter": "counter",
+	"github.com/repro/snntest/internal/obs.NewGauge":   "gauge",
 }
 
 // metricNameRe is the shape rule: lowercase snake_case, two or more
@@ -76,10 +73,6 @@ func checkMetricName(p *Pass, pos token.Pos, kind, name string) {
 	case "counter":
 		if !strings.HasSuffix(name, "_total") {
 			p.Reportf(pos, "counter name %q must end in _total", name)
-		}
-	case "histogram":
-		if !strings.HasSuffix(name, "_seconds") {
-			p.Reportf(pos, "timing histogram name %q must end in _seconds", name)
 		}
 	case "gauge":
 		if strings.HasSuffix(name, "_total") || strings.HasSuffix(name, "_seconds") {

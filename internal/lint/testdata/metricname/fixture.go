@@ -1,7 +1,7 @@
 // Golden fixture for the metricname analyzer: obs metric registrations
 // must use constant, snake_case subsystem_noun_unit names with the
-// kind's unit suffix — _total for counters, _seconds for timing
-// histograms, neither for gauges.
+// kind's unit suffix — _total for counters, neither _total nor _seconds
+// for gauges.
 package metricnamefix
 
 import "github.com/repro/snntest/internal/obs"
@@ -12,7 +12,6 @@ var (
 	okCounter      = obs.NewCounter("fixture_events_total")
 	okCounterConst = obs.NewCounter(constName)
 	okGauge        = obs.NewGauge("fixture_queue_depth")
-	okHistogram    = obs.NewTimingHistogram("fixture_step_seconds")
 
 	// The PR 9 flight-recorder names are part of the conforming corpus:
 	// any rename that breaks the convention fails here first.
@@ -36,14 +35,13 @@ var (
 	okTornLines         = obs.NewCounter("ledger_torn_lines_total")
 	okStallSnapshots    = obs.NewCounter("telemetry_stall_snapshots_total")
 
-	badShapeCamel  = obs.NewCounter("fixtureEventsTotal")      // want "not subsystem_noun_unit"
-	badShapeDotted = obs.NewCounter("fixture.events_total")    // want "not subsystem_noun_unit"
-	badShapeSingle = obs.NewCounter("fixture")                 // want "not subsystem_noun_unit"
-	badShapeUpper  = obs.NewGauge("Fixture_queue_depth")       // want "not subsystem_noun_unit"
-	badCounterUnit = obs.NewCounter("fixture_events")          // want "must end in _total"
-	badHistUnit    = obs.NewTimingHistogram("fixture_step_ms") // want "must end in _seconds"
-	badGaugeTotal  = obs.NewGauge("fixture_queue_total")       // want "must not use the counter/histogram unit suffixes"
-	badGaugeSec    = obs.NewGauge("fixture_wait_seconds")      // want "must not use the counter/histogram unit suffixes"
+	badShapeCamel  = obs.NewCounter("fixtureEventsTotal")   // want "not subsystem_noun_unit"
+	badShapeDotted = obs.NewCounter("fixture.events_total") // want "not subsystem_noun_unit"
+	badShapeSingle = obs.NewCounter("fixture")              // want "not subsystem_noun_unit"
+	badShapeUpper  = obs.NewGauge("Fixture_queue_depth")    // want "not subsystem_noun_unit"
+	badCounterUnit = obs.NewCounter("fixture_events")       // want "must end in _total"
+	badGaugeTotal  = obs.NewGauge("fixture_queue_total")    // want "must not use the counter/histogram unit suffixes"
+	badGaugeSec    = obs.NewGauge("fixture_wait_seconds")   // want "must not use the counter/histogram unit suffixes"
 )
 
 func dynamic(prefix string) *obs.Counter {

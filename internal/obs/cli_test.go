@@ -1,4 +1,10 @@
-package obs
+// The CLI flag bundle lives in package telemetry, which builds the
+// server and the ledger it starts. These tests pin what the bundle does
+// to this package's global state — the enable gate, pprof labelling,
+// the counter registry and the trace — so they sit beside that state as
+// an external test package.
+
+package obs_test
 
 import (
 	"bufio"
@@ -6,10 +12,14 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/repro/snntest/internal/obs"
+	"github.com/repro/snntest/internal/obs/telemetry"
 )
 
 // TestCLIStartTraceLifecycle runs the full CLI wiring: trace + profiles
@@ -17,7 +27,7 @@ import (
 // restores the dark default.
 func TestCLIStartTraceLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	c := CLI{
+	c := telemetry.CLI{
 		Trace:      filepath.Join(dir, "trace.jsonl"),
 		ProfileDir: dir,
 	}
@@ -26,20 +36,20 @@ func TestCLIStartTraceLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !On() {
+	if !obs.On() {
 		t.Fatal("-trace did not enable the layer")
 	}
 	log.Infof("working")
-	_, sp := Start(context.Background(), "unit")
-	NewCounter("obs_test.cli").Add(11)
+	_, sp := obs.Start(context.Background(), "unit")
+	obs.NewCounter("obs_test.cli").Add(11)
 	sp.End()
 	if err := stop(); err != nil {
 		t.Fatalf("stop: %v", err)
 	}
-	if On() {
+	if obs.On() {
 		t.Error("stop left the layer enabled")
 	}
-	if got := NewCounter("obs_test.cli").Value(); got != 0 {
+	if got := obs.NewCounter("obs_test.cli").Value(); got != 0 {
 		t.Errorf("stop left counter at %d", got)
 	}
 
@@ -50,14 +60,14 @@ func TestCLIStartTraceLifecycle(t *testing.T) {
 	var sawSpan, sawCounters bool
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	for sc.Scan() {
-		var e Event
+		var e obs.Event
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			t.Fatalf("trace line %q: %v", sc.Text(), err)
 		}
 		switch {
-		case e.Kind == KindSpan && e.Name == "unit":
+		case e.Kind == obs.KindSpan && e.Name == "unit":
 			sawSpan = true
-		case e.Kind == KindCounters:
+		case e.Kind == obs.KindCounters:
 			sawCounters = true
 			if e.Counters["obs_test.cli"] != 11 {
 				t.Errorf("snapshot counter = %d, want 11", e.Counters["obs_test.cli"])
@@ -94,7 +104,7 @@ func TestCLIStartTraceLifecycle(t *testing.T) {
 func TestCLIStartProfileDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "profiles")
 	fs := flag.NewFlagSet("snntestgen", flag.ContinueOnError)
-	c := CLI{}
+	c := telemetry.CLI{}
 	c.Register(fs)
 	if err := fs.Parse([]string{"-profile-dir", dir, "-quiet"}); err != nil {
 		t.Fatal(err)
@@ -103,16 +113,16 @@ func TestCLIStartProfileDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !On() {
+	if !obs.On() {
 		t.Fatal("-profile-dir did not enable the layer")
 	}
-	if !ProfileLabelsOn() {
+	if !obs.ProfileLabelsOn() {
 		t.Fatal("-profile-dir did not turn pprof labelling on")
 	}
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
-	if On() || ProfileLabelsOn() {
+	if obs.On() || obs.ProfileLabelsOn() {
 		t.Error("stop left the layer or labelling enabled")
 	}
 	for _, name := range []string{"snntestgen.cpu.pprof", "snntestgen.heap.pprof"} {
@@ -129,13 +139,13 @@ func TestCLIStartProfileDir(t *testing.T) {
 // TestCLIStartQuietSuppressesSummary keeps -quiet silent even with a
 // trace enabled.
 func TestCLIStartQuietSuppressesSummary(t *testing.T) {
-	c := CLI{Quiet: true, Trace: filepath.Join(t.TempDir(), "trace.jsonl")}
+	c := telemetry.CLI{Quiet: true, Trace: filepath.Join(t.TempDir(), "trace.jsonl")}
 	var stderr bytes.Buffer
 	_, stop, err := c.Start(&stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sp := Start(context.Background(), "unit")
+	_, sp := obs.Start(context.Background(), "unit")
 	sp.End()
 	if err := stop(); err != nil {
 		t.Fatal(err)
@@ -146,11 +156,53 @@ func TestCLIStartQuietSuppressesSummary(t *testing.T) {
 }
 
 func TestCLIStartBadTracePath(t *testing.T) {
-	c := CLI{Trace: filepath.Join(t.TempDir(), "missing-dir", "t.jsonl")}
+	c := telemetry.CLI{Trace: filepath.Join(t.TempDir(), "missing-dir", "t.jsonl")}
 	if _, _, err := c.Start(os.Stderr); err == nil {
 		t.Fatal("want error for uncreatable trace file")
 	}
-	if On() {
+	if obs.On() {
 		t.Error("failed Start left the layer enabled")
+	}
+}
+
+func TestCLILevel(t *testing.T) {
+	cases := []struct {
+		verbose, quiet bool
+		want           obs.LogLevel
+	}{
+		{false, false, obs.LevelInfo},
+		{true, false, obs.LevelDebug},
+		{false, true, obs.LevelQuiet},
+	}
+	for _, tc := range cases {
+		c := telemetry.CLI{Verbose: tc.verbose, Quiet: tc.quiet}
+		if got := c.Level(); got != tc.want {
+			t.Errorf("Level(v=%v q=%v) = %v, want %v", tc.verbose, tc.quiet, got, tc.want)
+		}
+	}
+}
+
+func TestCLIRegisterParse(t *testing.T) {
+	var c telemetry.CLI
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	c.Register(fs)
+	fs.SetOutput(io.Discard)
+	err := fs.Parse([]string{"-v", "-trace", "t.jsonl", "-profile-dir", "p"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Verbose || c.Trace != "t.jsonl" || c.ProfileDir != "p" {
+		t.Fatalf("parsed CLI = %+v", c)
+	}
+	// -profile-dir replaced the per-file profile flags.
+	if err := fs.Parse([]string{"-cpuprofile", "c.pb"}); err == nil {
+		t.Error("-cpuprofile still accepted")
+	}
+}
+
+func TestCLIStartRejectsVerboseQuiet(t *testing.T) {
+	c := telemetry.CLI{Verbose: true, Quiet: true}
+	if _, _, err := c.Start(io.Discard); err == nil {
+		t.Fatal("want mutual-exclusion error")
 	}
 }

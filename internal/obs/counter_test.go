@@ -16,8 +16,8 @@ func TestNewCounterIdempotent(t *testing.T) {
 	if got := b.Value(); got != 3 {
 		t.Fatalf("shared counter value = %d, want 3", got)
 	}
-	if a.Name() != "obs_test.idem" {
-		t.Fatalf("name = %q", a.Name())
+	if got := Snapshot()["obs_test.idem"]; got != 3 {
+		t.Fatalf("snapshot under the registered name = %d, want 3", got)
 	}
 }
 

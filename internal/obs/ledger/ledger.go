@@ -8,11 +8,11 @@
 //
 // The recorder is an obs.Sink fed by the KindRunStart / KindFault /
 // KindRunEnd event stream, which only flows when run events are enabled
-// (obs.SetRunEvents — the -ledger and -serve CLI paths). Entries are
-// written as one Write syscall per line on an O_APPEND file, so a
-// journal killed mid-run (SIGKILL) is at worst truncated in its final
-// line; the reader tolerates that, which is what lets the telemetry
-// server rehydrate run history across process restarts.
+// (obs.SetRunEvents — the -ledger and -serve paths of telemetry.CLI).
+// Entries are written as one Write syscall per line on an O_APPEND
+// file, so a journal killed mid-run (SIGKILL) is at worst truncated in
+// its final line; the reader tolerates that, which is what lets the
+// telemetry server rehydrate run history across process restarts.
 //
 // Like the rest of the obs layer the ledger is disabled by default and
 // must stay invisible when off: nothing here is called from
@@ -41,20 +41,6 @@ var (
 	obsLedgerWriteErrors = obs.NewCounter("ledger_write_errors_total")
 	obsLedgerTornLines   = obs.NewCounter("ledger_torn_lines_total")
 )
-
-// init wires the package into the shared obs.CLI -ledger flag, the same
-// import-for-effect idiom the telemetry server uses for -serve. The
-// telemetry package imports this one, so every binary that already
-// blank-imports telemetry gains -ledger with no further plumbing.
-func init() {
-	obs.RegisterLedgerHook(func(dir string) (obs.LedgerHandle, error) {
-		l, err := Open(dir)
-		if err != nil {
-			return obs.LedgerHandle{}, err
-		}
-		return obs.LedgerHandle{Sink: l, Close: l.Close}, nil
-	})
-}
 
 // Entry is one persisted journal line. It is the durable subset of an
 // obs run event: kind, run correlation, timestamp and the kind-specific

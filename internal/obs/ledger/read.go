@@ -59,8 +59,8 @@ func ReadRun(dir, run string) ([]Entry, error) {
 		if err := json.Unmarshal(line, &e); err != nil {
 			// Torn or corrupt line — keep whatever parses after it too;
 			// entries are self-describing so a lost line costs one event.
-			// Counted so rehydration loss is visible in /metrics instead
-			// of silently shortening coverage curves.
+			// Counted so rehydration loss shows in the -trace counter
+			// snapshot instead of silently shortening coverage curves.
 			obsLedgerTornLines.Add(1)
 			continue
 		}

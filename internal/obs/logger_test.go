@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"flag"
 	"io"
 	"strings"
 	"sync"
@@ -101,47 +100,5 @@ func TestLoggerConcurrent(t *testing.T) {
 		if l != "line" {
 			t.Fatalf("interleaved write: %q", l)
 		}
-	}
-}
-
-func TestCLILevel(t *testing.T) {
-	cases := []struct {
-		verbose, quiet bool
-		want           LogLevel
-	}{
-		{false, false, LevelInfo},
-		{true, false, LevelDebug},
-		{false, true, LevelQuiet},
-	}
-	for _, tc := range cases {
-		c := CLI{Verbose: tc.verbose, Quiet: tc.quiet}
-		if got := c.Level(); got != tc.want {
-			t.Errorf("Level(v=%v q=%v) = %v, want %v", tc.verbose, tc.quiet, got, tc.want)
-		}
-	}
-}
-
-func TestCLIRegisterParse(t *testing.T) {
-	var c CLI
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	c.Register(fs)
-	fs.SetOutput(io.Discard)
-	err := fs.Parse([]string{"-v", "-trace", "t.jsonl", "-profile-dir", "p"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Verbose || c.Trace != "t.jsonl" || c.ProfileDir != "p" {
-		t.Fatalf("parsed CLI = %+v", c)
-	}
-	// -profile-dir replaced the per-file profile flags.
-	if err := fs.Parse([]string{"-cpuprofile", "c.pb"}); err == nil {
-		t.Error("-cpuprofile still accepted")
-	}
-}
-
-func TestCLIStartRejectsVerboseQuiet(t *testing.T) {
-	c := CLI{Verbose: true, Quiet: true}
-	if _, _, err := c.Start(io.Discard); err == nil {
-		t.Fatal("want mutual-exclusion error")
 	}
 }

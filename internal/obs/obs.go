@@ -1,8 +1,9 @@
 // Package obs is the repo's stdlib-only observability layer: hierarchical
 // wall-clock spans, lock-free named counters, and pluggable event sinks
 // (a JSONL trace writer, an in-memory recorder for tests, and a
-// human-readable end-of-run tree summary), plus the leveled Logger every
-// CLI shares and the pprof/flag wiring of the CLI bundle.
+// human-readable end-of-run tree summary), plus the leveled Logger and
+// the pprof phase labels that the CLI bundle (package telemetry) wires
+// to every command's flags.
 //
 // The layer is disabled by default and must stay invisible when off: the
 // paper's headline claim is a cost model, so the instrumented hot paths

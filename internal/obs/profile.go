@@ -9,19 +9,19 @@ import (
 // profileLabels is the CPU-attribution switch layered on top of the
 // main enable gate, exactly like the run-events gate: when on, every
 // span additionally tags its goroutine with a runtime/pprof `phase`
-// label (and run-correlated code paths add a `run` label), so any CPU
-// profile taken while the process runs — the -profile-dir flag or the telemetry server's /debug/pprof/profile endpoint —
-// attributes its samples to the span taxonomy sample by sample.
+// label (and run-correlated code paths add a `run` label), so the CPU
+// profile -profile-dir writes attributes its samples to the span
+// taxonomy sample by sample.
 //
 // The gate exists because label maintenance, while cheap (one small
 // allocation plus a goroutine-label store per span), is not free, and
 // the repo's contract is that dark runs pay exactly one predicted
-// branch per probe. obs.CLI turns it on for the profiling and -serve
-// paths and restores the dark default on teardown.
+// branch per probe. telemetry.CLI turns it on for -profile-dir and
+// restores the dark default on teardown.
 var profileLabels atomic.Bool
 
 // SetProfileLabels toggles pprof phase/run labelling of spans (the
-// -profile-dir and -serve CLI paths turn it on).
+// -profile-dir CLI path turns it on).
 func SetProfileLabels(on bool) { profileLabels.Store(on) }
 
 // ProfileLabelsOn reports whether spans should maintain pprof labels:

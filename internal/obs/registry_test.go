@@ -1,13 +1,12 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"testing"
-	"time"
 )
 
-// TestGaugeSemantics covers Set/Add/Value and idempotent registration.
+// TestGaugeSemantics covers Set/Value, idempotent registration and
+// reset.
 func TestGaugeSemantics(t *testing.T) {
 	t.Cleanup(ResetCounters)
 	g := NewGauge("test_gauge_semantics_units")
@@ -15,101 +14,27 @@ func TestGaugeSemantics(t *testing.T) {
 		t.Error("NewGauge is not idempotent")
 	}
 	g.Set(5)
-	if v := g.Add(-2); v != 3 {
-		t.Errorf("Add returned %d, want 3", v)
-	}
+	g.Set(3)
 	if g.Value() != 3 {
 		t.Errorf("Value = %d, want 3", g.Value())
 	}
-	found := false
-	for _, mv := range GaugeSnapshot() {
-		if mv.Name == g.Name() && mv.Value == 3 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("GaugeSnapshot does not contain the registered gauge")
+	ResetCounters()
+	if g.Value() != 0 {
+		t.Errorf("Value after reset = %d, want 0", g.Value())
 	}
 }
 
-// TestTimingHistogramBuckets pins the bucket layout: each observation
-// lands in the first bucket whose bound is >= the duration, and the
-// count/sum aggregates match.
-func TestTimingHistogramBuckets(t *testing.T) {
-	t.Cleanup(ResetCounters)
-	h := NewTimingHistogram("test_histogram_bucket_seconds")
-	if NewTimingHistogram("test_histogram_bucket_seconds") != h {
-		t.Error("NewTimingHistogram is not idempotent")
-	}
-	obsv := []time.Duration{
-		500 * time.Nanosecond, // <= 1µs  → bucket 0
-		time.Microsecond,      // == 1µs  → bucket 0 (le semantics)
-		time.Millisecond,      // bucket 3
-		time.Second,           // bucket 6
-		time.Minute,           // above every bound → +Inf bucket
-		-time.Second,          // clamped to 0 → bucket 0
-	}
-	for _, d := range obsv {
-		h.Observe(d)
-	}
-	var snap HistogramSnapshot
-	for _, s := range HistogramSnapshots() {
-		if s.Name == h.Name() {
-			snap = s
-		}
-	}
-	if snap.Name == "" {
-		t.Fatal("histogram missing from HistogramSnapshots")
-	}
-	want := make([]int64, len(TimingBounds)+1)
-	want[0] = 3
-	want[3] = 1
-	want[6] = 1
-	want[len(TimingBounds)] = 1
-	for i, w := range want {
-		if snap.Counts[i] != w {
-			t.Errorf("bucket %d = %d, want %d", i, snap.Counts[i], w)
-		}
-	}
-	if snap.Count != int64(len(obsv)) {
-		t.Errorf("Count = %d, want %d", snap.Count, len(obsv))
-	}
-	wantSum := (500*time.Nanosecond + time.Microsecond + time.Millisecond +
-		time.Second + time.Minute).Seconds()
-	if diff := snap.Sum - wantSum; diff < -1e-9 || diff > 1e-9 {
-		t.Errorf("Sum = %v, want %v", snap.Sum, wantSum)
-	}
-}
-
-// TestSnapshotOrderedSorted pins the deterministic-order contract of
-// the ordered snapshot accessors.
-func TestSnapshotOrderedSorted(t *testing.T) {
-	t.Cleanup(ResetCounters)
-	NewCounter("test_order_zebra_total").Add(1)
-	NewCounter("test_order_alpha_total").Add(1)
-	NewGauge("test_order_gauge_b_units").Set(1)
-	NewGauge("test_order_gauge_a_units").Set(1)
-	check := func(name string, vals []MetricValue) {
-		if !sort.SliceIsSorted(vals, func(i, j int) bool { return vals[i].Name < vals[j].Name }) {
-			t.Errorf("%s is not sorted by name: %v", name, vals)
-		}
-	}
-	check("SnapshotOrdered", SnapshotOrdered())
-	check("GaugeSnapshot", GaugeSnapshot())
-}
-
-// TestRegistryResetSnapshotRace hammers Snapshot, Add, gauge Set,
-// histogram Observe and ResetCounters from concurrent goroutines. Under
-// -race this is the data-race gate for the registry; the assertions pin
-// the consistency contract — a snapshot taken under the registry lock
-// can never observe a half-reset view, so after the final reset every
-// metric reads zero, and no intermediate snapshot holds a value that
-// was never written.
+// TestRegistryResetSnapshotRace hammers Snapshot, Add, gauge Set and
+// ResetCounters from concurrent goroutines. Under -race this is the
+// data-race gate for the registry; the assertions pin the consistency
+// contract — a snapshot taken under the registry lock can never observe
+// a half-reset view, so after the final reset every metric reads zero,
+// and no intermediate snapshot holds a value that was never written.
 func TestRegistryResetSnapshotRace(t *testing.T) {
 	t.Cleanup(ResetCounters)
-	c := NewCounter("test_race_hammer_total")
+	const name = "test_race_hammer_total"
+	c := NewCounter(name)
 	g := NewGauge("test_race_hammer_units")
-	h := NewTimingHistogram("test_race_hammer_seconds")
 	const (
 		writers = 4
 		rounds  = 2000
@@ -122,7 +47,6 @@ func TestRegistryResetSnapshotRace(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				c.Add(1)
 				g.Set(int64(i))
-				h.Observe(time.Duration(i))
 			}
 		}()
 	}
@@ -136,21 +60,8 @@ func TestRegistryResetSnapshotRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds/10; i++ {
-			snap := Snapshot()
-			if v := snap[c.Name()]; v < 0 || v > writers*rounds {
+			if v := Snapshot()[name]; v < 0 || v > writers*rounds {
 				t.Errorf("snapshot counter value %d out of range [0, %d]", v, writers*rounds)
-			}
-			for _, hs := range HistogramSnapshots() {
-				if hs.Name != h.Name() {
-					continue
-				}
-				var total int64
-				for _, b := range hs.Counts {
-					total += b
-				}
-				if total != hs.Count {
-					t.Errorf("histogram snapshot bucket total %d != count %d", total, hs.Count)
-				}
 			}
 		}
 	}()
@@ -161,8 +72,5 @@ func TestRegistryResetSnapshotRace(t *testing.T) {
 	}
 	if v := g.Value(); v != 0 {
 		t.Errorf("gauge after final reset = %d, want 0", v)
-	}
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Errorf("histogram after final reset: count=%d sum=%v, want zeros", h.Count(), h.Sum())
 	}
 }

@@ -18,9 +18,6 @@ const maxRuns = 64
 // on-disk ledger journal, when enabled, keeps the full history).
 const maxRunEvents = 256
 
-// obsRunsTracked mirrors the in-memory run-history size onto /metrics.
-var obsRunsTracked = obs.NewGauge("telemetry_runs_tracked")
-
 // RunProgress is the JSON shape of one tracked run as served by /runs
 // and /runs/{id}. A "run" is one flight-recorder activity instance — a
 // fault-simulation campaign, a classification campaign, or a generation
@@ -52,7 +49,7 @@ type RunProgress struct {
 }
 
 // Sink tracks live run progress from the obs event stream. It
-// implements obs.Sink; register it with obs.AddSink (the obs.CLI -serve
+// implements obs.Sink; register it with obs.AddSink (the CLI's -serve
 // path does this, with run events on) and every run-scoped progress and
 // lifecycle event becomes queryable run state. Safe for concurrent Emit
 // and snapshot use.
@@ -83,8 +80,8 @@ func NewSink() *Sink { return &Sink{} }
 
 // Emit consumes one obs event. Progress and run-lifecycle events mutate
 // the state of the run their id names; events without a run id, spans
-// and counter snapshots among them, are ignored (the /metrics endpoint
-// serves counters directly from the registry).
+// and counter snapshots among them, are ignored (counters reach the
+// -trace snapshot instead).
 func (s *Sink) Emit(e obs.Event) {
 	if e.Run == "" {
 		return
@@ -169,7 +166,6 @@ func (s *Sink) insertLocked(r *runState) {
 	if len(s.runs) > maxRuns {
 		s.runs = append(s.runs[:0:0], s.runs[len(s.runs)-maxRuns:]...)
 	}
-	obsRunsTracked.Set(int64(len(s.runs)))
 }
 
 // Rehydrate restores run history from the ledger journals under dir,

@@ -1,3 +1,12 @@
+// Package telemetry is the live run-progress surface of the repo: an
+// embeddable, stdlib-only net/http server that serves structured run
+// progress (/runs and its per-run routes) from a Sink registered on the
+// obs event stream, and the CLI flag bundle every binary shares, which
+// starts that server (-serve) and the flight-recorder ledger (-ledger)
+// directly. Counters stay on the -trace path; profiles on -profile-dir.
+// The server is read-only over run state, so watching a run perturbs
+// neither its results nor (beyond the shared obs.On() branch) its cost
+// model; see DESIGN.md §6.
 package telemetry
 
 import (
@@ -7,8 +16,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
-	"sync/atomic"
 	"time"
 
 	"github.com/repro/snntest/internal/obs/ledger"
@@ -18,18 +25,13 @@ import (
 // start with Start (which binds the listener and reports the resolved
 // address, so ":0" works in tests), and stop with Shutdown. Endpoints:
 //
-//	/metrics        Prometheus text exposition of every obs metric
-//	/healthz        liveness: 200 while the process is up
-//	/readyz         readiness: 200 after Start, 503 after Shutdown begins
 //	/runs                 JSON list of tracked runs (live + recent history)
 //	/runs/{id}            one run, 404 when unknown
 //	/runs/{id}/coverage   coverage-over-time curve + detection-latency histograms
 //	/runs/{id}/events     the run's flight-recorder event tail
-//	/debug/pprof/*        net/http/pprof profiling handlers
 type Server struct {
 	sink     *Sink
 	srv      *http.Server
-	ready    atomic.Bool
 	serveErr chan error
 }
 
@@ -51,18 +53,10 @@ func (s *Server) Sink() *Sink { return s.sink }
 // under httptest.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /runs", s.handleRuns)
 	mux.HandleFunc("GET /runs/{id}", s.handleRun)
 	mux.HandleFunc("GET /runs/{id}/coverage", s.handleRunCoverage)
 	mux.HandleFunc("GET /runs/{id}/events", s.handleRunEvents)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 
@@ -75,14 +69,12 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
 	go func() { s.serveErr <- s.srv.Serve(ln) }()
-	s.ready.Store(true)
 	return ln.Addr().String(), nil
 }
 
-// Shutdown marks the server unready, drains in-flight requests
-// gracefully within ctx's deadline, and joins the serve goroutine.
+// Shutdown drains in-flight requests gracefully within ctx's deadline
+// and joins the serve goroutine.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.ready.Store(false)
 	err := s.srv.Shutdown(ctx)
 	if serr := <-s.serveErr; serr != nil && !errors.Is(serr, http.ErrServerClosed) && err == nil {
 		err = serr
@@ -91,26 +83,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return fmt.Errorf("telemetry: shutdown: %w", err)
 	}
 	return nil
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	// Write errors mean the scraper hung up; nothing useful to do.
-	_ = WriteMetrics(w)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = fmt.Fprintln(w, "ok")
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if !s.ready.Load() {
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
-		return
-	}
-	_, _ = fmt.Fprintln(w, "ready")
 }
 
 // runsResponse is the /runs JSON envelope.

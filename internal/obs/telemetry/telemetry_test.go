@@ -3,12 +3,9 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -50,127 +47,6 @@ func withObs(t *testing.T, sinks ...obs.Sink) {
 		obs.SetSinks()
 		obs.ResetCounters()
 	})
-}
-
-// scrape fetches /metrics from the handler and returns the body.
-func scrape(t *testing.T, h http.Handler) string {
-	t.Helper()
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("/metrics status = %d", rr.Code)
-	}
-	if ct := rr.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("/metrics content type = %q", ct)
-	}
-	return rr.Body.String()
-}
-
-// parseExposition validates the scrape as Prometheus text exposition
-// format and returns every sample keyed by its full series (name plus
-// label set). It fails the test on malformed lines, duplicate TYPE
-// headers, duplicate series, or samples without a preceding TYPE header
-// for their family.
-func parseExposition(t *testing.T, body string) map[string]float64 {
-	t.Helper()
-	types := map[string]string{}
-	samples := map[string]float64{}
-	for ln, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
-		if line == "" {
-			t.Fatalf("line %d: empty line in exposition", ln+1)
-		}
-		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			name, kind, ok := strings.Cut(rest, " ")
-			if !ok {
-				t.Fatalf("line %d: malformed TYPE header %q", ln+1, line)
-			}
-			if kind != "counter" && kind != "gauge" && kind != "histogram" {
-				t.Fatalf("line %d: unknown metric kind %q", ln+1, kind)
-			}
-			if _, dup := types[name]; dup {
-				t.Fatalf("line %d: duplicate TYPE header for %s", ln+1, name)
-			}
-			types[name] = kind
-			continue
-		}
-		series, valStr, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("line %d: malformed sample %q", ln+1, line)
-		}
-		val, err := strconv.ParseFloat(valStr, 64)
-		if err != nil {
-			t.Fatalf("line %d: bad sample value %q: %v", ln+1, valStr, err)
-		}
-		if _, dup := samples[series]; dup {
-			t.Fatalf("line %d: duplicate series %q", ln+1, series)
-		}
-		samples[series] = val
-		family := series
-		if i := strings.IndexByte(family, '{'); i >= 0 {
-			family = family[:i]
-		}
-		kind, declared := types[family]
-		if !declared {
-			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-				base := strings.TrimSuffix(family, suffix)
-				if base != family && types[base] == "histogram" {
-					kind, declared = "histogram", true
-					break
-				}
-			}
-		}
-		if !declared {
-			t.Fatalf("line %d: sample %q has no TYPE header", ln+1, series)
-		}
-		if kind != "histogram" && strings.ContainsAny(series, "{}") {
-			t.Fatalf("line %d: unexpected labels on %s series %q", ln+1, kind, series)
-		}
-	}
-	return samples
-}
-
-func TestMetricsExpositionValid(t *testing.T) {
-	withObs(t)
-	obs.NewCounter("telemetry_test_events_total").Add(7)
-	obs.NewGauge("telemetry_test_queue_depth").Set(3)
-	h := obs.NewTimingHistogram("telemetry_test_wait_seconds")
-	for _, d := range []time.Duration{time.Microsecond, time.Millisecond, 50 * time.Millisecond, 2 * time.Second, time.Minute} {
-		h.Observe(d)
-	}
-
-	samples := parseExposition(t, scrape(t, New().Handler()))
-
-	if got := samples["telemetry_test_events_total"]; got != 7 {
-		t.Errorf("counter sample = %v, want 7", got)
-	}
-	if got := samples["telemetry_test_queue_depth"]; got != 3 {
-		t.Errorf("gauge sample = %v, want 3", got)
-	}
-	// Histogram buckets must be cumulative (non-decreasing in le order)
-	// and reconcile with _count; the minute-long observation lands in
-	// +Inf only.
-	prev, bounds := 0.0, append([]float64{}, obs.TimingBounds[:]...)
-	for _, b := range bounds {
-		series := fmt.Sprintf("telemetry_test_wait_seconds_bucket{le=%q}", strconv.FormatFloat(b, 'g', -1, 64))
-		v, ok := samples[series]
-		if !ok {
-			t.Fatalf("missing bucket %s", series)
-		}
-		if v < prev {
-			t.Errorf("bucket %s = %v < previous %v (not cumulative)", series, v, prev)
-		}
-		prev = v
-	}
-	inf := samples[`telemetry_test_wait_seconds_bucket{le="+Inf"}`]
-	if inf != 5 {
-		t.Errorf("+Inf bucket = %v, want 5", inf)
-	}
-	if got := samples["telemetry_test_wait_seconds_count"]; got != inf {
-		t.Errorf("_count = %v, want +Inf bucket %v", got, inf)
-	}
-	if got := samples["telemetry_test_wait_seconds_sum"]; got < 62 {
-		t.Errorf("_sum = %v, want >= 62s of observations", got)
-	}
 }
 
 func TestRunsMonotonicDuringCampaign(t *testing.T) {
@@ -269,28 +145,23 @@ func TestRunsMonotonicDuringCampaign(t *testing.T) {
 		t.Errorf("/runs/no-such-run status = %d, want 404", resp.StatusCode)
 	}
 
-	// The scraped campaign gauges must reconcile exactly with the final
-	// CampaignResult — the acceptance contract for live fault coverage.
+	// The run record and the campaign counters must reconcile exactly
+	// with the final ClassifyResult — the acceptance contract for live
+	// fault coverage.
 	critical := 0
 	for _, c := range cls.Critical {
 		if c {
 			critical++
 		}
 	}
-	mets := parseExposition(t, scrape(t, s.Handler()))
-	for series, want := range map[string]float64{
-		"fault_campaign_done_faults":     float64(len(faults)),
-		"fault_campaign_total_faults":    float64(len(faults)),
-		"fault_campaign_critical_faults": float64(critical),
-		"fault_classified_total":         float64(len(faults)),
-		"fault_critical_total":           float64(critical),
+	snap := obs.Snapshot()
+	for name, want := range map[string]int64{
+		"fault_classified_total": int64(len(faults)),
+		"fault_critical_total":   int64(critical),
 	} {
-		if got := mets[series]; got != want {
-			t.Errorf("scraped %s = %v, want %v", series, got, want)
+		if got := snap[name]; got != want {
+			t.Errorf("counter %s = %d, want %d", name, got, want)
 		}
-	}
-	if got := mets["fault_simulation_seconds_count"]; got != float64(len(faults)) {
-		t.Errorf("fault_simulation_seconds_count = %v, want %v", got, len(faults))
 	}
 	if r.Detected != int64(critical) {
 		t.Errorf("run detected = %d, want critical count %d", r.Detected, critical)
@@ -308,12 +179,12 @@ func TestSimulateCoverageReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mets := parseExposition(t, scrape(t, s.Handler()))
-	if got, want := mets["fault_campaign_detected_faults"], float64(sim.NumDetected()); got != want {
-		t.Errorf("fault_campaign_detected_faults = %v, want NumDetected %v", got, want)
+	snap := obs.Snapshot()
+	if got, want := snap["fault_detected_total"], int64(sim.NumDetected()); got != want {
+		t.Errorf("fault_detected_total = %d, want NumDetected %d", got, want)
 	}
-	if got, want := mets["fault_detected_total"], float64(sim.NumDetected()); got != want {
-		t.Errorf("fault_detected_total = %v, want %v", got, want)
+	if got, want := snap["fault_simulated_total"], int64(len(faults)); got != want {
+		t.Errorf("fault_simulated_total = %d, want %d", got, want)
 	}
 
 	var run RunProgress
@@ -334,38 +205,53 @@ func TestSimulateCoverageReconciles(t *testing.T) {
 	}
 }
 
-func TestPprofRoutesRegistered(t *testing.T) {
-	h := New().Handler()
-	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol"} {
+// TestRoutes pins the route set: the four /runs routes answer for a
+// tracked run, and nothing else is served.
+func TestRoutes(t *testing.T) {
+	s := New()
+	s.Sink().Emit(obs.Event{Kind: obs.KindRunStart, Name: "campaign/simulate", Run: "r1", Total: 1, Start: time.Now()})
+	h := s.Handler()
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{"/runs", http.StatusOK},
+		{"/runs/r1", http.StatusOK},
+		{"/runs/r1/coverage", http.StatusOK},
+		{"/runs/r1/events", http.StatusOK},
+		{"/metrics", http.StatusNotFound},
+		{"/healthz", http.StatusNotFound},
+		{"/readyz", http.StatusNotFound},
+		{"/debug/pprof/", http.StatusNotFound},
+	} {
 		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
-		if rr.Code != http.StatusOK {
-			t.Errorf("GET %s status = %d, want 200", path, rr.Code)
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, tc.path, nil))
+		if rr.Code != tc.want {
+			t.Errorf("GET %s status = %d, want %d", tc.path, rr.Code, tc.want)
 		}
 	}
 }
 
+// TestServerLifecycle serves /runs between Start and Shutdown, and
+// stops listening after Shutdown.
 func TestServerLifecycle(t *testing.T) {
 	s := New()
-	rr := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/readyz", nil))
-	if rr.Code != http.StatusServiceUnavailable {
-		t.Errorf("pre-Start /readyz status = %d, want 503", rr.Code)
-	}
-
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"/healthz", "/readyz"} {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s status = %d, want 200", path, resp.StatusCode)
-		}
+	resp, err := http.Get("http://" + addr + "/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rr runsResponse
+	err = json.NewDecoder(resp.Body).Decode(&rr)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(rr.Runs) != 0 {
+		t.Errorf("GET /runs = %d %+v, want 200 with no runs", resp.StatusCode, rr.Runs)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -373,9 +259,8 @@ func TestServerLifecycle(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	rr = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/readyz", nil))
-	if rr.Code != http.StatusServiceUnavailable {
-		t.Errorf("post-Shutdown /readyz status = %d, want 503", rr.Code)
+	if resp, err := http.Get("http://" + addr + "/runs"); err == nil {
+		resp.Body.Close()
+		t.Error("GET /runs after Shutdown succeeded, want a connection error")
 	}
 }

@@ -16,16 +16,15 @@ import (
 	"github.com/repro/snntest/internal/obs"
 )
 
-// Pool resource telemetry: pool size as a live gauge, total in-fn busy
-// time as a counter, and utilization — busy time over workers × wall
-// time — as a percentage gauge written when a multi-worker pool drains.
-// A pool that is mostly idle is contended or starved, not compute-bound.
-// Pools never overlap (generation phases and campaigns run one after
-// another), so the gauges show whichever pool ran last.
+// Pool resource telemetry: total in-fn busy time as a counter, and
+// utilization — busy time over workers × wall time — as a percentage
+// gauge written when a multi-worker pool drains. A pool that is mostly
+// idle is contended or starved, not compute-bound. Pools never overlap
+// (generation phases and campaigns run one after another), so the gauge
+// shows whichever pool ran last.
 var (
-	obsWorkerPoolSize = obs.NewGauge("worker_pool_size_workers")
-	obsWorkerBusy     = obs.NewCounter("worker_busy_micros_total")
-	obsWorkerUtil     = obs.NewGauge("worker_utilization_percent")
+	obsWorkerBusy = obs.NewCounter("worker_busy_micros_total")
+	obsWorkerUtil = obs.NewGauge("worker_utilization_percent")
 )
 
 // Size resolves a requested worker count for n work items: ≤ 0 means
@@ -69,7 +68,6 @@ func RunWith[S any](workers, n int, newState func() S, fn func(s S, i int)) {
 	var busyUS atomic.Int64
 	if on {
 		poolStart = time.Now()
-		obsWorkerPoolSize.Set(int64(workers))
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -100,6 +98,5 @@ func RunWith[S any](workers, n int, newState func() S, fn func(s S, i int)) {
 		if capacity := time.Since(poolStart).Microseconds() * int64(workers); capacity > 0 {
 			obsWorkerUtil.Set(busy * 100 / capacity)
 		}
-		obsWorkerPoolSize.Set(0)
 	}
 }

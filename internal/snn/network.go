@@ -2,7 +2,6 @@ package snn
 
 import (
 	"fmt"
-	"time"
 
 	ag "github.com/repro/snntest/internal/autograd"
 	"github.com/repro/snntest/internal/obs"
@@ -12,13 +11,10 @@ import (
 // Hot-path counters of the fast simulation loop. Every update is guarded
 // by a single obs.On() branch so the disabled (default) layer leaves the
 // simulator's cost model untouched; see DESIGN.md §6 for the taxonomy.
-// The pass-latency histogram is flushed once per forward pass alongside
-// the counters, so the inner simulation loop never reads the clock.
 var (
 	obsForwardPasses = obs.NewCounter("snn_forward_passes_total")
 	obsLayerSteps    = obs.NewCounter("snn_layer_steps_total")
 	obsSpikes        = obs.NewCounter("snn_spikes_total")
-	obsForwardHist   = obs.NewTimingHistogram("snn_forward_pass_seconds")
 )
 
 // Network is a feedforward stack of spiking layers (recurrent projections
@@ -326,10 +322,6 @@ func (s *Scratch) runFrom(start int, golden *Record, stimulus *tensor.Tensor, st
 	if stopOnDiverge {
 		outRow, goldenRow = rec.Layers[last], golden.Layers[last]
 	}
-	var t0 time.Time
-	if obs.On() {
-		t0 = time.Now()
-	}
 	layerSteps := 0
 	for t := 0; t < steps; t++ {
 		if s.reference {
@@ -341,29 +333,26 @@ func (s *Scratch) runFrom(start int, golden *Record, stimulus *tensor.Tensor, st
 		if stopOnDiverge && !tensor.RowEqual(outRow, goldenRow, t) {
 			s.lastSimSteps = t + 1
 			if obs.On() {
-				s.observe(rec, start, t+1, layerSteps, time.Since(t0))
+				s.observe(rec, start, t+1, layerSteps)
 			}
 			return rec, layerSteps, true
 		}
 	}
 	s.lastSimSteps = steps
 	if obs.On() {
-		s.observe(rec, start, steps, layerSteps, time.Since(t0))
+		s.observe(rec, start, steps, layerSteps)
 	}
 	return rec, layerSteps, false
 }
 
-// observe flushes one run's hot-path counters and latency histogram: a
-// forward pass, the simulated layer-steps, the spikes emitted in the
-// simulated region (layers ≥ start over the first simSteps steps;
-// replayed golden layers below start are not re-counted), and the pass
-// duration. Callers
-// gate it behind obs.On(), so the disabled layer costs the simulation
-// loop exactly one branch.
-func (s *Scratch) observe(rec *Record, start, simSteps, layerSteps int, elapsed time.Duration) {
+// observe flushes one run's hot-path counters: a forward pass, the
+// simulated layer-steps and the spikes emitted in the simulated region
+// (layers ≥ start over the first simSteps steps; replayed golden layers
+// below start are not re-counted). Callers gate it behind obs.On(), so
+// the disabled layer costs the simulation loop exactly one branch.
+func (s *Scratch) observe(rec *Record, start, simSteps, layerSteps int) {
 	obsForwardPasses.Add(1)
 	obsLayerSteps.Add(int64(layerSteps))
-	obsForwardHist.Observe(elapsed)
 	spikes := int64(0)
 	for li := start; li < len(s.net.Layers); li++ {
 		nn := s.net.Layers[li].NumNeurons()

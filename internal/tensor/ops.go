@@ -73,15 +73,6 @@ func Relu(a *Tensor) *Tensor {
 	return out
 }
 
-// Exp returns exp(a) elementwise.
-func Exp(a *Tensor) *Tensor {
-	out := NewLike(a, a.shape...)
-	for i := range a.data {
-		out.data[i] = math.Exp(a.data[i])
-	}
-	return out
-}
-
 // Square returns a² elementwise.
 func Square(a *Tensor) *Tensor {
 	out := NewLike(a, a.shape...)
@@ -142,13 +133,4 @@ func NonZeroIndices(idx []int32, x []float64) []int32 {
 		}
 	}
 	return idx[:n]
-}
-
-// Apply returns f applied elementwise to a.
-func Apply(a *Tensor, f func(float64) float64) *Tensor {
-	out := NewLike(a, a.shape...)
-	for i := range a.data {
-		out.data[i] = f(a.data[i])
-	}
-	return out
 }

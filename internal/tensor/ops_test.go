@@ -52,13 +52,6 @@ func TestAbsReluSquare(t *testing.T) {
 	}
 }
 
-func TestExp(t *testing.T) {
-	e := Exp(vec(1))
-	if math.Abs(e.Data()[0]-math.E) > 1e-12 {
-		t.Errorf("Exp(1) = %g", e.Data()[0])
-	}
-}
-
 func TestHeaviside(t *testing.T) {
 	got := Heaviside(vec(-1, 0.5, 2), 1.0)
 	if !Equal(got, vec(0, 0, 1), 0) {
@@ -80,13 +73,6 @@ func TestInPlaceOps(t *testing.T) {
 	ScaleInPlace(a, 0.5)
 	if !Equal(a, vec(5.5, 11), 0) {
 		t.Errorf("ScaleInPlace = %v", a)
-	}
-}
-
-func TestApply(t *testing.T) {
-	got := Apply(vec(1, 2, 3), func(v float64) float64 { return v * v })
-	if !Equal(got, vec(1, 4, 9), 0) {
-		t.Errorf("Apply = %v", got)
 	}
 }
 

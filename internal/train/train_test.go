@@ -73,10 +73,11 @@ func TestCosineSchedule(t *testing.T) {
 
 func TestTrainRejectsBadArgs(t *testing.T) {
 	net := must(snn.BuildSHD(rand.New(rand.NewSource(1)), snn.ScaleTiny))
-	if _, err := Train(net, nil, nil, DefaultConfig()); err == nil {
+	cfg := Config{Epochs: 1, LR: 0.02, Seed: 1}
+	if _, err := Train(net, nil, nil, cfg); err == nil {
 		t.Error("empty dataset must error")
 	}
-	if _, err := Train(net, []*tensor.Tensor{tensor.New(1, 40)}, []int{0, 1}, DefaultConfig()); err == nil {
+	if _, err := Train(net, []*tensor.Tensor{tensor.New(1, 40)}, []int{0, 1}, cfg); err == nil {
 		t.Error("mismatched lengths must error")
 	}
 }

@@ -20,12 +20,6 @@ type Config struct {
 	Log io.Writer
 }
 
-// DefaultConfig returns settings that converge on the synthetic benchmark
-// datasets in a few epochs.
-func DefaultConfig() Config {
-	return Config{Epochs: 4, LR: 0.02, Seed: 1}
-}
-
 // History records per-epoch training statistics.
 type History struct {
 	Loss     []float64 // mean cross-entropy per epoch
